@@ -108,6 +108,7 @@ class FieldSpec:
         "inv_table",
         "frob_table",
         "sqrt_table",
+        "power_basis",
     )
 
     def __init__(self, p: int, k: int):
@@ -116,6 +117,9 @@ class FieldSpec:
         self.q = p**k
         self.modulus = _canonical_modulus(p, k)
         q = self.q
+        # 1, x, ..., x^{k-1} over F_p: x^t is the index with the single prime
+        # coordinate 1 at position t, which is p^t
+        self.power_basis = tuple(p**t for t in range(k))
 
         def coeffs(i: int) -> tuple[int, ...]:
             out = []

@@ -12,6 +12,10 @@ Everything here reduces questions about such maps to F_p-linear algebra:
 * F is range-compatible when F(s) lies in the column space of s for every
   s in S.  The solution set of that condition is the kernel of explicit
   F_p-linear constraints (one batch per pair (s, annihilator row of s)).
+  Over F_2 the constraints come from a packed-bitset walk of the elements
+  in Gray-code order; other fields walk decoded elements one by one, and
+  that generic walk is kept as the F_2 walk's reference (see
+  rc_solution_space for why the two agree).
 * F is local when it is evaluation at a fixed vector, F(s) = s x.
 * In characteristic 2 the diagonal maps s -> alpha(diag of the symmetric
   block) for root-linear alpha (additive with alpha(c^2 x) = c alpha(x))
@@ -79,10 +83,9 @@ def prime_field(space: OperatorSpace) -> FieldSpec:
 def prime_basis_vectors(space: OperatorSpace):
     """The F_p-basis x^t * b_i of S, indexed by j = i*k + t."""
     f = space.ambient.field
-    lams = [f.from_prime_coords(tuple(1 if u == t else 0 for u in range(f.k))) for t in range(f.k)]
     out = []
     for b in space.basis.vectors:
-        for lam in lams:
+        for lam in f.power_basis:
             out.append(tuple(f.mul(lam, x) for x in b))
     return out
 
@@ -275,7 +278,7 @@ def _constraint_rows_for(space: OperatorSpace, coeffs, ann_row, stride: int):
     p, k = f.p, f.k
     n = space.ambient.nrows
     width = map_coord_width(space)
-    lams = [f.from_prime_coords(tuple(1 if u == t else 0 for u in range(k))) for t in range(k)]
+    lams = f.power_basis
     rows = [[0] * width for _ in range(k)]
     support = [j for j, c in enumerate(coeffs) if c]
     for i in range(n):
@@ -296,21 +299,94 @@ def _constraint_rows_for(space: OperatorSpace, coeffs, ann_row, stride: int):
 def rc_solution_space(space: OperatorSpace, cap: int | None = None) -> MapSpace:
     """Canonical basis of all range-compatible additive maps on the space.
 
-    Walks every element s, collects the linear constraints "F(s) is
-    annihilated by the left kernel of s", and returns the kernel of the
-    stacked system over F_p.
+    F is range-compatible exactly when <a, F(s)> = 0 for every element s and
+    every a in the left kernel of s (the annihilator of its column space).
+    Each such pair gives F_p-linear constraints on the map coordinates; the
+    answer is the kernel of the stacked system.  Two walks produce the
+    constraints, chosen by the field:
+
+    * F_2 (q = 2): `_rc_gray_gf2`, a packed-bitset walk in Gray-code order.
+    * every other field: `_rc_element_walk`, the generic walk, which also
+      serves as the oracle the tests compare the F_2 walk against.
+
+    The two are interchangeable on F_2 because the result depends only on
+    the span of the constraint rows: any basis of the left kernel of s spans
+    the same rows (the row of a is linear in a), and the Gray order visits
+    each nonzero element exactly once, as the odometer order does.  The zero
+    element imposes nothing.  The element cap applies to both.
     """
     f = space.ambient.field
-    p, k = f.p, f.k
-    n, ncols = space.ambient.nrows, space.ambient.ncols
-    fp = prime_field(space)
     limit = element_cap(cap)
     if f.q**space.dim > limit:
         raise DomainTooLarge(f"{f.q ** space.dim} elements exceeds cap {limit}")
-    width = map_coord_width(space)
+    if f.q == 2:
+        return _rc_gray_gf2(space)
+    return _rc_element_walk(space)
+
+
+def _rc_gray_gf2(space: OperatorSpace) -> MapSpace:
+    """The F_2 solve on packed ints: matrices as n row bitmasks, constraint
+    rows as bitmasks of map coordinates.
+
+    Over F_2 the map coordinate of F(u_j)_i is j*n + i, so for the element
+    s = sum of u_j over j in a support set and a kernel vector a (as a
+    bitmask of rows), the constraint row is a * comb with
+    comb = sum of 1 << (j*n): the copies of a sit in disjoint n-bit slots,
+    so the product has no carries.  Consecutive Gray-code elements differ
+    in one basis matrix, so each step is one XOR on the rows and one bit
+    flip in comb.
+    """
+    amb = space.ambient
+    n, ncols = amb.nrows, amb.ncols
+    acc = make_accumulator(prime_field(space), map_coord_width(space))
+    basis_rows = []
+    for vec in space.basis.vectors:
+        ent = decode(amb, vec).entries
+        basis_rows.append(
+            [sum(1 << c for c in range(ncols) if ent[i * ncols + c]) for i in range(n)]
+        )
+    add = acc.add
+    cur = [0] * n
+    comb = 0
+    for step in range(1, 1 << len(basis_rows)):
+        j = (step & -step).bit_length() - 1
+        for i, r in enumerate(basis_rows[j]):
+            cur[i] ^= r
+        comb ^= 1 << (j * n)
+        # left kernel of cur: eliminate the rows in order, tracking in c
+        # which original rows each reduced row combines.  Each pivot row is
+        # reduced by the earlier ones, so it lacks their lowest bits; a row
+        # that reduces to zero makes c a kernel vector, and these span the
+        # kernel.
+        piv = []
+        for i, r in enumerate(cur):
+            c = 1 << i
+            for pr, pc, low in piv:
+                if r & low:
+                    r ^= pr
+                    c ^= pc
+            if r:
+                piv.append((r, c, r & -r))
+            else:
+                add(c * comb)
+    return _solution_space(space, acc)
+
+
+def _rc_element_walk(space: OperatorSpace) -> MapSpace:
+    """The generic solve: decode every element, take the canonical basis of
+    its left kernel and fold the resulting constraint rows.
+
+    Characteristic 2 folds packed rows into the F_2 accumulator; odd
+    characteristic folds `_constraint_rows_for` rows.  No element cap here:
+    callers check it.
+    """
+    f = space.ambient.field
+    k = f.k
+    n, ncols = space.ambient.nrows, space.ambient.ncols
     stride = n * k
     amb = space.ambient
-    acc = make_accumulator(fp, width)
+    lams = f.power_basis
+    acc = make_accumulator(prime_field(space), map_coord_width(space))
     packed = isinstance(acc, Gf2Accumulator)
     for coeffs, coords in iter_space_elements(space):
         if not any(coeffs):
@@ -326,7 +402,7 @@ def rc_solution_space(space: OperatorSpace, cap: int | None = None) -> MapSpace:
                     if not ai:
                         continue
                     for u in range(k):
-                        digs = f.prime_coords(f.mul(ai, f.from_prime_coords(tuple(1 if x == u else 0 for x in range(k)))))
+                        digs = f.prime_coords(f.mul(ai, lams[u]))
                         for w in range(k):
                             if digs[w]:
                                 patterns[w] |= 1 << (i * k + u)
@@ -343,13 +419,19 @@ def rc_solution_space(space: OperatorSpace, cap: int | None = None) -> MapSpace:
                 for row in _constraint_rows_for(space, coeffs, a, stride):
                     if any(row):
                         acc.add(row)
+    return _solution_space(space, acc)
+
+
+def _solution_space(space: OperatorSpace, acc) -> MapSpace:
+    """The maps satisfying every constraint row folded into acc."""
+    fp = prime_field(space)
+    width = map_coord_width(space)
     rows, _ = acc.rows_pivots()
-    if packed:
-        rows = [tuple((r >> t) & 1 for t in range(width)) for r in rows]
     if not rows:
         return MapSpace(space, SubspaceBasis.full(fp, width))
-    constraint = matrix_from_rows(fp, rows)
-    return MapSpace(space, kernel_basis(constraint))
+    if isinstance(acc, Gf2Accumulator):
+        rows = [tuple((r >> t) & 1 for t in range(width)) for r in rows]
+    return MapSpace(space, kernel_basis(matrix_from_rows(fp, rows)))
 
 
 def local_map(space: OperatorSpace, x) -> AdditiveMap:
@@ -370,7 +452,7 @@ def local_space(space: OperatorSpace) -> MapSpace:
     for col in range(space.ambient.ncols):
         for t in range(f.k):
             x = [0] * space.ambient.ncols
-            x[col] = f.from_prime_coords(tuple(1 if u == t else 0 for u in range(f.k)))
+            x[col] = f.power_basis[t]
             gens.append(map_to_coords(local_map(space, tuple(x))))
     return MapSpace(space, SubspaceBasis.from_vectors(fp, width, gens))
 
@@ -471,8 +553,7 @@ def root_linear_forms(field: FieldSpec):
     characteristic, where only the zero form satisfies the scaling law)."""
     if field.p != 2:
         return []
-    coeffs = [field.from_prime_coords(tuple(1 if u == t else 0 for u in range(field.k))) for t in range(field.k)]
-    return [root_linear_form(field, c) for c in coeffs]
+    return [root_linear_form(field, c) for c in field.power_basis]
 
 
 def diag_root_linear_map(space: OperatorSpace, form: RootLinearForm) -> AdditiveMap:
@@ -530,8 +611,7 @@ def linear_maps_space(space: OperatorSpace) -> MapSpace:
     stride = n * k
     if k == 1:
         return MapSpace(space, SubspaceBasis.full(fp, width))
-    lams = [f.from_prime_coords(tuple(1 if u == t else 0 for u in range(k))) for t in range(k)]
-    acc = make_accumulator(fp, width)
+    lams = f.power_basis
     rows = []
     for i in range(space.dim):
         for t in range(1, k):
@@ -547,21 +627,10 @@ def linear_maps_space(space: OperatorSpace) -> MapSpace:
                             idx = (i * k) * stride + r * k + u
                             row[idx] = (row[idx] - digs[w]) % p
                     rows.append(row)
-    for row in rows:
-        if isinstance(acc, Gf2Accumulator):
-            bits = 0
-            for j, x in enumerate(row):
-                if x:
-                    bits |= 1 << j
-            acc.add(bits)
-        else:
-            acc.add(row)
-    out_rows, _ = acc.rows_pivots()
-    if isinstance(acc, Gf2Accumulator):
-        out_rows = [tuple((r >> t) & 1 for t in range(width)) for r in out_rows]
-    if not out_rows:
+    if not rows:
         return MapSpace(space, SubspaceBasis.full(fp, width))
-    return MapSpace(space, kernel_basis(matrix_from_rows(fp, out_rows)))
+    # kernel_basis echelonizes the rows itself, on the packed path over F_2
+    return MapSpace(space, kernel_basis(matrix_from_rows(fp, rows)))
 
 
 def linear_rc_space(space: OperatorSpace, cap: int | None = None) -> MapSpace:
@@ -584,11 +653,9 @@ def quotient_map(f_map: AdditiveMap, w: SubspaceBasis) -> AdditiveMap:
     space = f_map.domain
     f = space.ambient.field
     amb = space.ambient
-    k = f.k
     p_mat = quotient_projection(space, w)
     q_space = quotient_space(space, w)
     q_amb = q_space.ambient
-    lams = [f.from_prime_coords(tuple(1 if u == t else 0 for u in range(k))) for t in range(k)]
     # K-linear projection phi : coords(S) -> coords(Q), columns phi(b_i)
     images = [
         encode(q_amb, p_mat.matmul(decode(amb, b))) for b in space.basis.vectors
@@ -597,7 +664,7 @@ def quotient_map(f_map: AdditiveMap, w: SubspaceBasis) -> AdditiveMap:
     phi_cols = matrix_from_rows(f, images).transpose() if images else Matrix(f, q_amb.dim, 0, ())
     # well-definedness on the kernel of phi within S
     for gamma in kernel_basis(phi_cols).vectors:
-        for lam in lams:
+        for lam in f.power_basis:
             coeffs = []
             for g in gamma:
                 coeffs.extend(f.prime_coords(f.mul(lam, g)))
@@ -609,7 +676,7 @@ def quotient_map(f_map: AdditiveMap, w: SubspaceBasis) -> AdditiveMap:
     for qb in q_space.basis.vectors:
         gamma = solve(phi_cols, qb)
         assert gamma is not None  # qb is in the image of phi by construction
-        for lam in lams:
+        for lam in f.power_basis:
             coeffs = []
             for g in gamma:
                 coeffs.extend(f.prime_coords(f.mul(lam, g)))

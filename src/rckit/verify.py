@@ -10,6 +10,7 @@ work is dispatched, and `Pool.map` preserves that order.
 
 from __future__ import annotations
 
+import os
 import random
 import time
 from dataclasses import dataclass
@@ -161,12 +162,21 @@ def _finish(spec: SuiteSpec, per_case, t0: float) -> VerificationReport:
     )
 
 
+def _pool_size(jobs: int, ncases: int) -> int:
+    """Worker processes for `ncases` cases at `--jobs jobs`: never more than
+    the CPUs or the cases.  At most 1 means run the cases in this process."""
+    if jobs < 1:
+        raise BadParams(f"--jobs must be at least 1, got {jobs}")
+    return min(jobs, os.cpu_count() or 1, ncases)
+
+
 def _map_cases(worker, cases, jobs: int = 1):
     cases = list(cases)
-    if jobs and jobs > 1 and len(cases) > 1:
+    workers = _pool_size(jobs, len(cases))
+    if workers > 1:
         ctx = get_context("fork")
-        with ctx.Pool(processes=jobs) as pool:
-            chunk = max(1, len(cases) // (jobs * 8))
+        with ctx.Pool(processes=workers) as pool:
+            chunk = max(1, len(cases) // (workers * 8))
             return pool.map(worker, cases, chunksize=chunk)
     return [worker(c) for c in cases]
 

@@ -66,6 +66,14 @@ def test_verify_bad_parameters_exit_2(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_verify_nonpositive_jobs_exit_2(jobs, capsys):
+    code = main(["verify", "--suite", "sym-main", "--field", "2", "--n", "3",
+                 "--codim", "0", "--jobs", jobs])
+    assert code == 2
+    assert "--jobs" in capsys.readouterr().err
+
+
 def test_verify_unknown_suite_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--suite", "not-a-suite"])

@@ -6,6 +6,8 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rckit.errors import (
     AmbientMismatch,
@@ -17,6 +19,9 @@ from rckit.errors import (
 from rckit.field import make_field
 from rckit.linalg import SubspaceBasis, matrix_from_rows
 from rckit.opspace import (
+    KIND_ALT,
+    KIND_FULL,
+    KIND_SYM,
     Ambient,
     build_full_alt,
     build_full_rect,
@@ -25,6 +30,7 @@ from rckit.opspace import (
     build_t3,
     decode,
     encode,
+    enumerate_subspaces_up_to,
     full_space,
     quotient_projection,
     side_by_side,
@@ -65,6 +71,7 @@ from rckit.rcmaps import (
     zero_map,
     _naive_rc_maps_generic,
     _naive_rc_maps_gf2,
+    _rc_element_walk,
 )
 
 F2 = make_field(2)
@@ -193,6 +200,33 @@ def test_rc_solver_matches_oracle_on_random_subspaces():
             s = space_from_coords(amb, vecs)
             rc = rc_solution_space(s)
             assert set(rc.basis.enumerate_elements()) == set(naive_rc_maps(s))
+
+
+@st.composite
+def f2_spaces(draw):
+    """A random subspace of a small sym, alt or full ambient over F_2, with
+    or without a tail; no generators gives the zero space."""
+    kind = draw(st.sampled_from([KIND_SYM, KIND_ALT, KIND_FULL]))
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(0, 2))
+    amb = Ambient(F2, kind, n, m)
+    vec = st.tuples(*[st.integers(0, 1)] * amb.dim)
+    return space_from_coords(amb, draw(st.lists(vec, max_size=6)))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(f2_spaces())
+@example(space_from_coords(Ambient(F2, KIND_SYM, 2, 1), []))
+@example(full_space(Ambient(F2, KIND_ALT, 3, 1)))
+def test_gf2_packed_solver_matches_element_walk(space):
+    assert rc_solution_space(space) == _rc_element_walk(space)
+
+
+def test_gf2_packed_solver_matches_element_walk_on_sym3_codim1():
+    cases = list(enumerate_subspaces_up_to(Ambient(F2, KIND_SYM, 3, 0), 1))
+    assert len(cases) == 64
+    for s in cases:
+        assert rc_solution_space(s) == _rc_element_walk(s)
 
 
 def test_gf2_oracle_matches_generic_oracle():

@@ -118,6 +118,26 @@ def test_determinism_across_worker_counts():
     assert strip_time(s1) == strip_time(s2)
 
 
+def test_pool_size_clamps_to_cpus_and_cases(monkeypatch):
+    monkeypatch.setattr(V.os, "cpu_count", lambda: 2)
+    assert V._pool_size(1, 100) == 1
+    assert V._pool_size(2, 100) == 2
+    assert V._pool_size(8, 100) == 2
+    assert V._pool_size(8, 1) == 1
+    assert V._pool_size(2, 0) == 0
+    monkeypatch.setattr(V.os, "cpu_count", lambda: 16)
+    assert V._pool_size(8, 3) == 3
+    assert V._pool_size(8, 100) == 8
+    monkeypatch.setattr(V.os, "cpu_count", lambda: None)
+    assert V._pool_size(8, 100) == 1
+
+
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_pool_size_rejects_nonpositive_jobs(jobs):
+    with pytest.raises(BadParams):
+        V._pool_size(jobs, 10)
+
+
 def test_failure_payload_replays():
     # the diagonal-block space admits a Frobenius map that is
     # range-compatible but not standard, so the case predicate must report
