@@ -18,7 +18,7 @@ import argparse
 import json
 import sys
 
-from .errors import RCKitError
+from .errors import BadParams, RCKitError
 from .field import parse_field_label
 from .opspace import KIND_SYM, build_space, space_from_json, space_to_json
 from .rcmaps import (
@@ -293,6 +293,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.jobs < 1:
+            raise BadParams(f"--jobs must be at least 1, got {args.jobs}")
         return args.handler(args)
     except RCKitError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -5,21 +5,16 @@ residue class of the polynomial sum(c_t * x^t) in F_p[x] / (modulus), so index
 0 is the zero element, index 1 the unit, and for extension fields index p is
 the class of x.  All arithmetic is table lookups after construction; the
 tables for each (p, k) are built once and cached.
-
-A lightweight `Scalar` wrapper gives operator syntax and guards against mixing
-fields; hot loops should use the index-level FieldSpec methods directly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
 from .errors import (
     CharacteristicMismatch,
     DivisionByZero,
-    MixedFields,
     NonPrimeCharacteristic,
     OrderCapExceeded,
 )
@@ -269,78 +264,3 @@ def parse_field_label(label: str, max_order: int = DEFAULT_ORDER_CAP) -> FieldSp
     else:
         p, k = int(text), 1
     return make_field(p, k, max_order=max_order)
-
-
-@dataclass(frozen=True, slots=True)
-class Scalar:
-    """One field element: a FieldSpec together with an element index."""
-
-    spec: FieldSpec
-    index: int
-
-    def _same(self, other: "Scalar") -> None:
-        if self.spec is not other.spec:
-            raise MixedFields("operands live in different fields")
-
-    def __add__(self, other: "Scalar") -> "Scalar":
-        self._same(other)
-        return Scalar(self.spec, self.spec.add_table[self.index][other.index])
-
-    def __sub__(self, other: "Scalar") -> "Scalar":
-        self._same(other)
-        return Scalar(self.spec, self.spec.sub(self.index, other.index))
-
-    def __mul__(self, other: "Scalar") -> "Scalar":
-        self._same(other)
-        return Scalar(self.spec, self.spec.mul_table[self.index][other.index])
-
-    def __neg__(self) -> "Scalar":
-        return Scalar(self.spec, self.spec.neg_table[self.index])
-
-    def __bool__(self) -> bool:
-        return self.index != 0
-
-
-def scalar(field: FieldSpec, index: int) -> Scalar:
-    if not 0 <= index < field.q:
-        raise ValueError(f"index {index} out of range for F_{field.q}")
-    return Scalar(field, index)
-
-
-def add(x: Scalar, y: Scalar) -> Scalar:
-    return x + y
-
-
-def sub(x: Scalar, y: Scalar) -> Scalar:
-    return x - y
-
-
-def mul(x: Scalar, y: Scalar) -> Scalar:
-    return x * y
-
-
-def neg(x: Scalar) -> Scalar:
-    return -x
-
-
-def inv(x: Scalar) -> Scalar:
-    return Scalar(x.spec, x.spec.inv(x.index))
-
-
-def frobenius(x: Scalar) -> Scalar:
-    """x -> x^p, the absolute Frobenius."""
-    return Scalar(x.spec, x.spec.frob_table[x.index])
-
-
-def sqrt_char2(x: Scalar) -> Scalar:
-    """Unique square root in characteristic 2 (squaring is a bijection)."""
-    return Scalar(x.spec, x.spec.sqrt(x.index))
-
-
-def prime_coords(x: Scalar) -> tuple[int, ...]:
-    """Coordinates of x over the prime subfield in the basis 1, x, ..., x^{k-1}."""
-    return x.spec.prime_coords(x.index)
-
-
-def from_prime_coords(field: FieldSpec, coords) -> Scalar:
-    return Scalar(field, field.from_prime_coords(coords))

@@ -300,10 +300,6 @@ class Matrix:
             tuple(f.add(a, b) for a, b in zip(self.entries, other.entries)),
         )
 
-    def scale(self, c: int) -> "Matrix":
-        f = self.field
-        return Matrix(self.field, self.rows, self.cols, tuple(f.mul(c, e) for e in self.entries))
-
 
 def matrix_from_rows(field: FieldSpec, rows) -> Matrix:
     rows = [tuple(r) for r in rows]

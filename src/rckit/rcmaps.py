@@ -31,8 +31,6 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import (
     AmbientMismatch,
     CharacteristicMismatch,
@@ -813,37 +811,24 @@ def _naive_rc_maps_generic(space: OperatorSpace):
 
 
 def _naive_rc_maps_gf2(space: OperatorSpace):
-    """Vectorized filter over all 2^width maps: per element s, the value
-    index of F(s) is a batch of bit parities, tested against a lookup of the
+    """Filter all 2^width maps, packed as ints, one element s at a time: the
+    value index of F(s) has bit i equal to the parity of the map bits that
+    s's coefficients select in row i, looked up in the value indices of the
     column space of s."""
     n = space.ambient.nrows
     width = map_coord_width(space)
-    maps = np.arange(1 << width, dtype=np.uint64)
-    keep = np.ones(maps.shape, dtype=bool)
+    survivors = range(1 << width)
     for coeffs, valid in _element_value_sets(space):
-        masks = []
-        for i in range(n):
-            m = 0
-            for j, c in enumerate(coeffs):
-                if c:
-                    m |= 1 << (j * n + i)
-            masks.append(np.uint64(m))
-        val_idx = np.zeros(maps.shape, dtype=np.uint64)
-        for i in range(n):
-            parity = np.bitwise_count(maps & masks[i]) & np.uint64(1)
-            val_idx |= parity << np.uint64(i)
-        table = np.zeros(1 << n, dtype=bool)
-        for v in valid:
-            idx = 0
-            for i, x in enumerate(v):
-                idx |= x << i
-            table[idx] = True
-        keep &= table[val_idx]
-    hits = np.nonzero(keep)[0]
-    return [
-        tuple((int(h) >> t) & 1 for t in range(width))
-        for h in hits
-    ]
+        masks = [
+            sum(1 << (j * n + i) for j, c in enumerate(coeffs) if c) for i in range(n)
+        ]
+        ok = {sum(x << i for i, x in enumerate(v)) for v in valid}
+        survivors = [
+            h
+            for h in survivors
+            if sum(((h & m).bit_count() & 1) << i for i, m in enumerate(masks)) in ok
+        ]
+    return [tuple((h >> t) & 1 for t in range(width)) for h in survivors]
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,6 @@ from functools import lru_cache, partial
 from itertools import product
 from multiprocessing import get_context
 
-import numpy as np
-
 from . import __version__
 from .errors import BadParams, EnumerationCapExceeded, IllDefined
 from .field import FieldSpec, parse_field_label
@@ -482,28 +480,46 @@ def _rank1_candidates(field: FieldSpec, n: int):
     return rows
 
 
-def _rank1_case(field: FieldSpec, n: int, cand, ann_rows) -> list[dict]:
+def _orthogonal_masks(field: FieldSpec, cand, rows) -> dict[tuple[int, ...], int]:
+    """For each distinct annihilator row, a bitmask whose bit t is set when
+    candidate t is orthogonal to the row."""
+    masks = {}
+    for row in rows:
+        if row in masks:
+            continue
+        mask = 0
+        for t, vec in enumerate(cand):
+            acc = 0
+            for r, v in zip(row, vec):
+                if r and v:
+                    acc = field.add(acc, field.mul(r, v))
+            if not acc:
+                mask |= 1 << t
+        masks[row] = mask
+    return masks
+
+
+def _gap_count(field: FieldSpec, n: int, masks, ann_rows) -> int:
+    """Lines of K^n none of whose rank-one candidates lie in the subspace cut
+    out by `ann_rows`.
+
+    ANDing the rows' orthogonality masks leaves the candidates inside the
+    subspace.  The candidates come in runs of q-1, one run per line (see
+    `_rank1_candidates`), and a line is a gap when its whole run is clear.
+    Every nonzero multiple of x x^T is tested, not only x x^T itself, so the
+    count follows the lemma as stated and does not lean on the subspace being
+    closed under scalars; with masks the extra candidates cost one bit each.
+    """
     scalars = field.q - 1
-    if field.k == 1:
-        a = np.array(ann_rows, dtype=np.int64)
-        hit = (a @ cand.T) % field.p
-        in_w = ~hit.any(axis=0)
-    else:
-        in_w = []
-        for vec in cand:
-            ok = True
-            for row in ann_rows:
-                acc = 0
-                for r, v in zip(row, vec):
-                    if r and v:
-                        acc = field.add(acc, field.mul(r, v))
-                if acc:
-                    ok = False
-                    break
-            in_w.append(ok)
-        in_w = np.array(in_w)
-    line_hit = in_w.reshape(-1, scalars).any(axis=1)
-    gaps = int((~line_hit).sum())
+    run = (1 << scalars) - 1
+    in_w = -1
+    for row in ann_rows:
+        in_w &= masks[row]
+    return sum(1 for t in range(0, field.q**n - 1, scalars) if not (in_w >> t) & run)
+
+
+def _rank1_case(field: FieldSpec, n: int, masks, ann_rows) -> list[dict]:
+    gaps = _gap_count(field, n, masks, ann_rows)
     if gaps >= 2:
         return []
     amb = Ambient(field, KIND_SYM, n, 0)
@@ -516,7 +532,11 @@ def run_rank1_gaps(
 ) -> VerificationReport:
     """Every proper subspace of Sym(n) misses the rank-one matrices built
     from at least two distinct lines of K^n (all scalar multiples of x x^T
-    stay outside the subspace)."""
+    stay outside the subspace).
+
+    The orthogonality of each candidate c x x^T to each distinct annihilator
+    row is computed once, here, as one bitmask per row; the cases then only
+    AND the masks of their rows."""
     if n < 3:
         raise BadParams("the rank-one gap property needs n >= 3")
     cap = element_cap(cap)
@@ -526,14 +546,14 @@ def run_rank1_gaps(
     total = sum(count_subspaces(amb, c) for c in range(1, d + 1))
     if total > cap:
         raise EnumerationCapExceeded(f"{total} proper subspaces exceeds cap {cap}")
-    raw = _rank1_candidates(field, n)
-    cand = np.array(raw, dtype=np.int64) if field.k == 1 else raw
     cases = [
         tuple(tuple(row) for row in rows)
         for c in range(1, d + 1)
         for rows in dual_rref_rows(field, d, c)
     ]
-    per_case = _map_cases(partial(_rank1_case, field, n, cand), cases, jobs)
+    cand = _rank1_candidates(field, n)
+    masks = _orthogonal_masks(field, cand, (row for rows in cases for row in rows))
+    per_case = _map_cases(partial(_rank1_case, field, n, masks), cases, jobs)
     spec = SuiteSpec("rank1-gaps", field=field.label, n=n, cap=cap)
     return _finish(spec, per_case, t0)
 

@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from rckit import verify
 from rckit.cli import main
 from rckit.field import make_field
 from rckit.opspace import build_space, space_to_json
@@ -71,6 +72,24 @@ def test_verify_nonpositive_jobs_exit_2(jobs, capsys):
     code = main(["verify", "--suite", "sym-main", "--field", "2", "--n", "3",
                  "--codim", "0", "--jobs", jobs])
     assert code == 2
+    assert "--jobs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--suite", "sym-main", "--field", "2", "--n", "4"],
+        ["verify", "--suite", "full-sym-class", "--field", "2", "--n", "2"],
+        ["lemmas", "--field", "2"],
+    ],
+)
+def test_zero_jobs_exit_2_before_any_work(argv, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("suite work started before --jobs was checked")
+
+    for attr in ("enumerate_subspaces_up_to", "dual_rref_rows", "rc_solution_space"):
+        monkeypatch.setattr(verify, attr, refuse)
+    assert main(argv + ["--jobs", "0"]) == 2
     assert "--jobs" in capsys.readouterr().err
 
 

@@ -7,20 +7,10 @@ import pytest
 from rckit.errors import (
     CharacteristicMismatch,
     DivisionByZero,
-    MixedFields,
     NonPrimeCharacteristic,
     OrderCapExceeded,
 )
-from rckit.field import (
-    Scalar,
-    frobenius,
-    from_prime_coords,
-    make_field,
-    parse_field_label,
-    prime_coords,
-    scalar,
-    sqrt_char2,
-)
+from rckit.field import make_field, parse_field_label
 
 ALL_SMALL_FIELDS = [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (5, 1), (7, 1), (11, 1), (13, 1)]
 
@@ -141,21 +131,3 @@ def test_field_identity_is_cached():
     assert parse_field_label("3") is make_field(3)
     assert make_field(3, 2).label == "3^2"
     assert make_field(5).label == "5"
-
-
-def test_scalar_wrapper_ops_and_mixed_fields():
-    f4, f2 = make_field(2, 2), make_field(2)
-    w = scalar(f4, 2)
-    assert (w * w).index == 3
-    assert (w + w).index == 0
-    assert (-w).index == 2
-    assert (w - w).index == 0
-    assert frobenius(w).index == 3
-    assert sqrt_char2(scalar(f4, 3)).index == 2
-    assert prime_coords(scalar(f4, 3)) == (1, 1)
-    assert from_prime_coords(f4, (1, 1)) == Scalar(f4, 3)
-    assert bool(scalar(f4, 0)) is False and bool(w) is True
-    with pytest.raises(MixedFields):
-        _ = w + scalar(f2, 1)
-    with pytest.raises(ValueError):
-        scalar(f4, 4)

@@ -230,7 +230,13 @@ def test_gf2_packed_solver_matches_element_walk_on_sym3_codim1():
 
 
 def test_gf2_oracle_matches_generic_oracle():
-    for s in (build_full_sym(F2, 2), build_t3(F2), build_full_alt(F2, 3)):
+    domains = (
+        build_full_sym(F2, 2),
+        build_full_sym(F2, 2, 1),
+        build_t3(F2),
+        build_full_alt(F2, 3),
+    )
+    for s in domains:
         assert sorted(_naive_rc_maps_gf2(s)) == sorted(_naive_rc_maps_generic(s))
 
 

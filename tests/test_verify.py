@@ -4,17 +4,22 @@ honest failure payloads (checked against a known non-standard map)."""
 from __future__ import annotations
 
 import json
+import random
+import subprocess
+import sys
 
 import pytest
 
 from rckit.errors import BadParams
 from rckit.field import make_field
-from rckit.linalg import gaussian_binomial
+from rckit.linalg import Matrix, gaussian_binomial, kernel_basis, matrix_from_rows
 from rckit.opspace import (
     Ambient,
     KIND_SYM,
     build_full_sym,
     build_sym_block,
+    dual_rref_rows,
+    encode,
     space_from_json,
 )
 from rckit.rcmaps import (
@@ -168,6 +173,75 @@ def test_rank1_gap_suite_counts():
     assert rep.verified and rep.cases_run == total == 2824
     with pytest.raises(BadParams):
         V.run_rank1_gaps(F2, 2)
+
+
+def _slow_gap_count(field, n, ann_rows):
+    """Gap lines counted by membership of every c x x^T in the kernel."""
+    amb = Ambient(field, KIND_SYM, n, 0)
+    w = kernel_basis(matrix_from_rows(field, ann_rows))
+    gaps = 0
+    for x in V.line_reps(field, n):
+        hit = False
+        for c in range(1, field.q):
+            entries = tuple(
+                field.mul(c, field.mul(x[i], x[j])) for i in range(n) for j in range(n)
+            )
+            hit = hit or w.member(encode(amb, Matrix(field, n, n, entries)))
+        gaps += not hit
+    return gaps
+
+
+def _random_rref(field, dim, rng):
+    """A random annihilator in the reduced row echelon form of dual_rref_rows."""
+    rank = rng.randint(1, dim)
+    pivots = sorted(rng.sample(range(dim), rank))
+    rows = []
+    for p in pivots:
+        row = [0] * dim
+        row[p] = 1
+        for col in range(p + 1, dim):
+            if col not in pivots:
+                row[col] = rng.randrange(field.q)
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def test_rank1_gap_masks_match_kernel_membership():
+    d = Ambient(F2, KIND_SYM, 3, 0).dim
+    f2_cases = [
+        tuple(tuple(r) for r in rows)
+        for c in range(1, d + 1)
+        for rows in dual_rref_rows(F2, d, c)
+    ]
+    rng = random.Random(7)
+    for field, cases in (
+        (F2, f2_cases),
+        (F3, [_random_rref(F3, d, rng) for _ in range(300)]),
+        (F4, [_random_rref(F4, d, rng) for _ in range(300)]),
+    ):
+        cand = V._rank1_candidates(field, 3)
+        masks = V._orthogonal_masks(field, cand, (row for rows in cases for row in rows))
+        for rows in cases:
+            assert V._gap_count(field, 3, masks, rows) == _slow_gap_count(field, 3, rows)
+
+
+def test_rank1_case_reports_a_space_without_gaps():
+    zero = (0,) * 6
+    masks = V._orthogonal_masks(F3, V._rank1_candidates(F3, 3), [zero])
+    fails = V._rank1_case(F3, 3, masks, (zero,))
+    assert [f["reason"] for f in fails] == ["only 0 gap line(s); expected at least 2"]
+    assert space_from_json(fails[0]["space"]).codim == 0
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, rckit.cli; print('numpy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_good_functional_suite_and_good_line_counter():
