@@ -107,7 +107,7 @@ def _cmd_classify(args) -> int:
     space = _load_space(args)
     rc = rc_solution_space(space, cap=args.cap)
     loc = local_space(space)
-    lin = linear_rc_space(space, cap=args.cap)
+    lin = linear_rc_space(rc)
     std = standard_space(space) if space.ambient.kind == KIND_SYM else None
     amb = space.ambient
     print(f"space: {amb.kind} {amb.n}x{amb.ncols} over {amb.field.label}, "

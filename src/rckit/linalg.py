@@ -329,10 +329,6 @@ def rank(m: Matrix) -> int:
     return rref(m)[0].rows
 
 
-def row_space(m: Matrix) -> SubspaceBasis:
-    return SubspaceBasis.from_vectors(m.field, m.cols, [m.row_tuple(i) for i in range(m.rows)])
-
-
 def column_space(m: Matrix) -> SubspaceBasis:
     return SubspaceBasis.from_vectors(m.field, m.rows, [m.col_tuple(j) for j in range(m.cols)])
 
@@ -341,17 +337,47 @@ def kernel_basis(m: Matrix) -> SubspaceBasis:
     """Canonical basis of the right kernel {x : Mx = 0}."""
     f = m.field
     rows, pivots = echelonize(f, [m.row_tuple(i) for i in range(m.rows)], m.cols)
+    return SubspaceBasis.from_vectors(f, m.cols, _free_column_kernel(f, rows, pivots, m.cols))
+
+
+def accumulator_kernel(field: FieldSpec, acc) -> SubspaceBasis:
+    """Canonical basis of the kernel of the rows folded into acc, an
+    accumulator over field.
+
+    The accumulator already holds its rows in reduced row echelon form, so
+    the kernel vectors come straight from them, without echelonizing the
+    rows again."""
+    rows, pivots = acc.rows_pivots()
+    width = acc.width
+    if isinstance(acc, Gf2Accumulator):
+        # -1 = 1 over F_2: the free column plus the pivot of each row that
+        # has a 1 there
+        free = sorted(set(range(width)).difference(pivots))
+        vecs = [
+            _unpack(sum(1 << p for r, p in zip(rows, pivots) if (r >> fr) & 1) | 1 << fr, width)
+            for fr in free
+        ]
+    else:
+        vecs = _free_column_kernel(field, rows, pivots, width)
+    return SubspaceBasis.from_vectors(field, width, vecs)
+
+
+def _free_column_kernel(field: FieldSpec, rows, pivots, width: int) -> list[Vec]:
+    """A kernel basis of rows in reduced row echelon form with the given
+    pivot columns: one vector per free column, 1 there and minus that
+    column's entry of each row at the row's pivot.  The vectors are not in
+    reduced row echelon form themselves."""
     pivot_set = set(pivots)
-    free = [j for j in range(m.cols) if j not in pivot_set]
     vecs = []
-    for fr in free:
-        v = [0] * m.cols
+    for fr in range(width):
+        if fr in pivot_set:
+            continue
+        v = [0] * width
         v[fr] = 1
         for r, p in zip(rows, pivots):
-            v[p] = f.neg(r[fr])
+            v[p] = field.neg(r[fr])
         vecs.append(tuple(v))
-    # re-echelonize: the free-column construction need not be in RREF
-    return SubspaceBasis.from_vectors(f, m.cols, vecs)
+    return vecs
 
 
 def left_kernel_rows(field: FieldSpec, entries, rows: int, cols: int) -> list[Vec]:

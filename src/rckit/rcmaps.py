@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import (
     AmbientMismatch,
@@ -44,6 +45,7 @@ from .linalg import (
     Gf2Accumulator,
     Matrix,
     SubspaceBasis,
+    accumulator_kernel,
     intersect_spaces,
     kernel_basis,
     left_kernel_rows,
@@ -204,9 +206,15 @@ def evaluate(f_map: AdditiveMap, mat: Matrix) -> tuple[int, ...]:
 def map_to_coords(f_map: AdditiveMap) -> tuple[int, ...]:
     """Flatten to F_p-coordinates: index (j*n + i)*k + t is the t-th prime
     coordinate of F(u_j)_i."""
-    f = f_map.domain.ambient.field
+    return _coords_of_values(f_map.domain.ambient.field, f_map.values)
+
+
+def _coords_of_values(f: FieldSpec, values) -> tuple[int, ...]:
+    """map_to_coords for prime-basis values that are not wrapped in a map."""
+    if f.k == 1:  # an element of a prime field is its own prime coordinate
+        return tuple(x for val in values for x in val)
     out = []
-    for val in f_map.values:
+    for val in values:
         for x in val:
             out.extend(f.prime_coords(x))
     return tuple(out)
@@ -294,7 +302,9 @@ def _constraint_rows_for(space: OperatorSpace, coeffs, ann_row, stride: int):
     return rows
 
 
-def rc_solution_space(space: OperatorSpace, cap: int | None = None) -> MapSpace:
+def rc_solution_space(
+    space: OperatorSpace, cap: int | None = None, target: MapSpace | None = None
+) -> MapSpace:
     """Canonical basis of all range-compatible additive maps on the space.
 
     F is range-compatible exactly when <a, F(s)> = 0 for every element s and
@@ -312,65 +322,118 @@ def rc_solution_space(space: OperatorSpace, cap: int | None = None) -> MapSpace:
     the same rows (the row of a is linear in a), and the Gray order visits
     each nonzero element exactly once, as the odometer order does.  The zero
     element imposes nothing.  The element cap applies to both.
+
+    `target` must be a space of maps known to be range-compatible: the local
+    maps, or the standard maps on a symmetric-block space.  With it, either
+    walk stops as soon as the rows folded so far reach rank
+    width - dim(target) and every target basis vector satisfies all of them,
+    and returns target.  That is sound: RC is inside the kernel of the folded
+    rows, which then equals span(target), which is inside RC, because s x
+    lies in the column space of s and, in characteristic 2, the square root
+    of diag(A) lies in the column space of A.  When RC is larger than
+    target the rank never reaches that goal, so the walk runs to the end and
+    returns the exact RC.  A target that fails the check is ignored.
     """
     f = space.ambient.field
     limit = element_cap(cap)
     if f.q**space.dim > limit:
         raise DomainTooLarge(f"{f.q ** space.dim} elements exceeds cap {limit}")
+    if target is not None and target.domain != space:
+        raise AmbientMismatch("target maps live on a different domain")
     if f.q == 2:
-        return _rc_gray_gf2(space)
-    return _rc_element_walk(space)
+        return _rc_gray_gf2(space, target)
+    return _rc_element_walk(space, target)
 
 
-def _rc_gray_gf2(space: OperatorSpace) -> MapSpace:
-    """The F_2 solve on packed ints: matrices as n row bitmasks, constraint
-    rows as bitmasks of map coordinates.
+def _certifier(acc, target: MapSpace | None):
+    """The certified-stop test for a walk folding into acc: call it after
+    each fold that raises the rank; it is True once the folded rows cut out
+    exactly span(target).  Always False without a target."""
+    if target is None:
+        return lambda: False
+    goal = acc.width - target.dim
+    if isinstance(acc, Gf2Accumulator):
+        gens = [sum(1 << t for t, x in enumerate(v) if x) for v in target.basis.vectors]
+        rows = acc.piv.values()
+
+        def certified() -> bool:
+            return acc.rank == goal and not any(
+                (r & g).bit_count() & 1 for r in rows for g in gens
+            )
+
+    else:
+        gens = target.basis.vectors
+        p = acc.field.p
+
+        def certified() -> bool:
+            return acc.rank == goal and not any(
+                sum(a * b for a, b in zip(r, g)) % p for r in acc.rows for g in gens
+            )
+
+    return certified
+
+
+@lru_cache(maxsize=1 << 16)
+def _gf2_left_kernel(key: int, n: int, ncols: int) -> tuple[int, ...]:
+    """Row bitmasks spanning the left kernel of the n x ncols F_2 matrix
+    whose entry (i, c) is bit i*ncols + c of key.
+
+    Eliminate the rows in order, tracking in c which original rows each
+    reduced row combines.  Each pivot row is reduced by the earlier ones, so
+    it lacks their lowest bits; a row that reduces to zero makes c a kernel
+    vector, and these span the kernel.  The result depends on the matrix
+    alone, so the cache is shared by every solve in the process.
+    """
+    mask = (1 << ncols) - 1
+    piv = []
+    out = []
+    for i in range(n):
+        r = (key >> (i * ncols)) & mask
+        c = 1 << i
+        for pr, pc, low in piv:
+            if r & low:
+                r ^= pr
+                c ^= pc
+        if r:
+            piv.append((r, c, r & -r))
+        else:
+            out.append(c)
+    return tuple(out)
+
+
+def _rc_gray_gf2(space: OperatorSpace, target: MapSpace | None = None) -> MapSpace:
+    """The F_2 solve on packed ints: matrices as keys with bit i*ncols + c
+    for entry (i, c), constraint rows as bitmasks of map coordinates.
 
     Over F_2 the map coordinate of F(u_j)_i is j*n + i, so for the element
     s = sum of u_j over j in a support set and a kernel vector a (as a
     bitmask of rows), the constraint row is a * comb with
     comb = sum of 1 << (j*n): the copies of a sit in disjoint n-bit slots,
     so the product has no carries.  Consecutive Gray-code elements differ
-    in one basis matrix, so each step is one XOR on the rows and one bit
+    in one basis matrix, so each step is one XOR on the key and one bit
     flip in comb.
     """
     amb = space.ambient
     n, ncols = amb.nrows, amb.ncols
     acc = make_accumulator(prime_field(space), map_coord_width(space))
-    basis_rows = []
-    for vec in space.basis.vectors:
-        ent = decode(amb, vec).entries
-        basis_rows.append(
-            [sum(1 << c for c in range(ncols) if ent[i * ncols + c]) for i in range(n)]
-        )
+    certified = _certifier(acc, target)
+    basis_keys = [
+        sum(1 << t for t, x in enumerate(decode(amb, vec).entries) if x)
+        for vec in space.basis.vectors
+    ]
     add = acc.add
-    cur = [0] * n
-    comb = 0
-    for step in range(1, 1 << len(basis_rows)):
+    key = comb = 0
+    for step in range(1, 1 << len(basis_keys)):
         j = (step & -step).bit_length() - 1
-        for i, r in enumerate(basis_rows[j]):
-            cur[i] ^= r
+        key ^= basis_keys[j]
         comb ^= 1 << (j * n)
-        # left kernel of cur: eliminate the rows in order, tracking in c
-        # which original rows each reduced row combines.  Each pivot row is
-        # reduced by the earlier ones, so it lacks their lowest bits; a row
-        # that reduces to zero makes c a kernel vector, and these span the
-        # kernel.
-        piv = []
-        for i, r in enumerate(cur):
-            c = 1 << i
-            for pr, pc, low in piv:
-                if r & low:
-                    r ^= pr
-                    c ^= pc
-            if r:
-                piv.append((r, c, r & -r))
-            else:
-                add(c * comb)
+        for c in _gf2_left_kernel(key, n, ncols):
+            if add(c * comb) and certified():
+                return target
     return _solution_space(space, acc)
 
 
-def _rc_element_walk(space: OperatorSpace) -> MapSpace:
+def _rc_element_walk(space: OperatorSpace, target: MapSpace | None = None) -> MapSpace:
     """The generic solve: decode every element, take the canonical basis of
     its left kernel and fold the resulting constraint rows.
 
@@ -385,6 +448,7 @@ def _rc_element_walk(space: OperatorSpace) -> MapSpace:
     amb = space.ambient
     lams = f.power_basis
     acc = make_accumulator(prime_field(space), map_coord_width(space))
+    certified = _certifier(acc, target)
     packed = isinstance(acc, Gf2Accumulator)
     for coeffs, coords in iter_space_elements(space):
         if not any(coeffs):
@@ -412,24 +476,18 @@ def _rc_element_walk(space: OperatorSpace) -> MapSpace:
                     for j, c in enumerate(coeffs):
                         if c:
                             row |= pat << (j * stride)
-                    acc.add(row)
+                    if acc.add(row) and certified():
+                        return target
             else:
                 for row in _constraint_rows_for(space, coeffs, a, stride):
-                    if any(row):
-                        acc.add(row)
+                    if any(row) and acc.add(row) and certified():
+                        return target
     return _solution_space(space, acc)
 
 
 def _solution_space(space: OperatorSpace, acc) -> MapSpace:
     """The maps satisfying every constraint row folded into acc."""
-    fp = prime_field(space)
-    width = map_coord_width(space)
-    rows, _ = acc.rows_pivots()
-    if not rows:
-        return MapSpace(space, SubspaceBasis.full(fp, width))
-    if isinstance(acc, Gf2Accumulator):
-        rows = [tuple((r >> t) & 1 for t in range(width)) for r in rows]
-    return MapSpace(space, kernel_basis(matrix_from_rows(fp, rows)))
+    return MapSpace(space, accumulator_kernel(prime_field(space), acc))
 
 
 def local_map(space: OperatorSpace, x) -> AdditiveMap:
@@ -443,16 +501,28 @@ def local_map(space: OperatorSpace, x) -> AdditiveMap:
 
 def local_space(space: OperatorSpace) -> MapSpace:
     """Span of the evaluation maps, as a subspace of map coordinates."""
+    gens = _local_generators(space, _prime_basis_matrices(space))
+    return MapSpace(
+        space, SubspaceBasis.from_vectors(prime_field(space), map_coord_width(space), gens)
+    )
+
+
+def _prime_basis_matrices(space: OperatorSpace) -> list[Matrix]:
+    amb = space.ambient
+    return [decode(amb, v) for v in prime_basis_vectors(space)]
+
+
+def _local_generators(space: OperatorSpace, mats) -> list[tuple[int, ...]]:
+    """Map coordinates of s -> s x for x = lam e_col, over every column and
+    power-basis element lam: the values are lam times column col of each
+    prime basis matrix in mats."""
     f = space.ambient.field
-    fp = prime_field(space)
-    width = map_coord_width(space)
-    gens = []
-    for col in range(space.ambient.ncols):
-        for t in range(f.k):
-            x = [0] * space.ambient.ncols
-            x[col] = f.power_basis[t]
-            gens.append(map_to_coords(local_map(space, tuple(x))))
-    return MapSpace(space, SubspaceBasis.from_vectors(fp, width, gens))
+    n = space.ambient.nrows
+    return [
+        _coords_of_values(f, [[f.mul(lam, m.entry(i, col)) for i in range(n)] for m in mats])
+        for col in range(space.ambient.ncols)
+        for lam in f.power_basis
+    ]
 
 
 def respects_row_decomposition(f_map: AdditiveMap) -> bool:
@@ -561,11 +631,12 @@ def diag_root_linear_map(space: OperatorSpace, form: RootLinearForm) -> Additive
         raise AmbientMismatch("diagonal maps need a symmetric-block ambient")
     if form.field is not amb.field:
         raise MixedFields("form over a different field")
-    values = []
-    for v in prime_basis_vectors(space):
-        mat = decode(amb, v)
-        values.append(tuple(form(mat.entry(i, i)) for i in range(amb.nrows)))
-    return AdditiveMap(space, tuple(values))
+    return AdditiveMap(space, _diag_values(form, _prime_basis_matrices(space)))
+
+
+def _diag_values(form: RootLinearForm, mats) -> tuple[tuple[int, ...], ...]:
+    """Values of A -> form(diagonal of A) on the matrices mats."""
+    return tuple(tuple(form(m.entry(i, i)) for i in range(m.rows)) for m in mats)
 
 
 def standard_space(space: OperatorSpace) -> MapSpace:
@@ -573,12 +644,14 @@ def standard_space(space: OperatorSpace) -> MapSpace:
     amb = space.ambient
     if amb.kind != KIND_SYM:
         raise AmbientMismatch("standard maps are defined on symmetric-block spaces")
-    fp = prime_field(space)
-    width = map_coord_width(space)
-    gens = list(local_space(space).basis.vectors)
-    for form in root_linear_forms(amb.field):
-        gens.append(map_to_coords(diag_root_linear_map(space, form)))
-    return MapSpace(space, SubspaceBasis.from_vectors(fp, width, gens))
+    f = amb.field
+    mats = _prime_basis_matrices(space)
+    gens = _local_generators(space, mats)
+    for form in root_linear_forms(f):
+        gens.append(_coords_of_values(f, _diag_values(form, mats)))
+    return MapSpace(
+        space, SubspaceBasis.from_vectors(prime_field(space), map_coord_width(space), gens)
+    )
 
 
 def is_standard(f_map: AdditiveMap) -> bool:
@@ -631,11 +704,10 @@ def linear_maps_space(space: OperatorSpace) -> MapSpace:
     return MapSpace(space, kernel_basis(matrix_from_rows(fp, rows)))
 
 
-def linear_rc_space(space: OperatorSpace, cap: int | None = None) -> MapSpace:
-    """Range-compatible maps that are also K-linear."""
-    rc = rc_solution_space(space, cap)
-    lin = linear_maps_space(space)
-    return MapSpace(space, intersect_spaces(rc.basis, lin.basis))
+def linear_rc_space(rc: MapSpace) -> MapSpace:
+    """The K-linear maps within rc, the solved range-compatible space."""
+    lin = linear_maps_space(rc.domain)
+    return MapSpace(rc.domain, intersect_spaces(rc.basis, lin.basis))
 
 
 # ---------------------------------------------------------------------------

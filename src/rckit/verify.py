@@ -184,8 +184,10 @@ def _map_cases(worker, cases, jobs: int = 1):
 
 
 def _standard_class_case(cap: int, space: OperatorSpace) -> list[dict]:
-    rc = rc_solution_space(space, cap=cap)
     std = standard_space(space)
+    rc = rc_solution_space(space, cap=cap, target=std)
+    if rc.basis == std.basis:
+        return []
     return [
         _failure(space, vec, "range-compatible map is not standard")
         for vec in rc.basis.vectors
@@ -194,8 +196,8 @@ def _standard_class_case(cap: int, space: OperatorSpace) -> list[dict]:
 
 
 def _local_class_case(cap: int, space: OperatorSpace) -> list[dict]:
-    rc = rc_solution_space(space, cap=cap)
     loc = local_space(space)
+    rc = rc_solution_space(space, cap=cap, target=loc)
     if rc.basis == loc.basis:
         return []
     out = [
@@ -356,7 +358,7 @@ def run_full_alt_class(field: FieldSpec, n: int, cap: int | None = None) -> Veri
     cap = element_cap(cap)
     t0 = time.perf_counter()
     space = build_full_alt(field, n)
-    lin_rc = linear_rc_space(space, cap=cap)
+    lin_rc = linear_rc_space(rc_solution_space(space, cap=cap))
     loc = local_space(space)
     fails = [
         _failure(space, vec, "linear range-compatible map is not local")

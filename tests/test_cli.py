@@ -135,6 +135,24 @@ def test_classify_known_space(tmp_path, capsys):
     assert obj["allStandard"] is True and obj["allLocal"] is False
 
 
+def test_classify_solves_once(monkeypatch, capsys):
+    from rckit import cli, rcmaps
+
+    calls = []
+    solve = rcmaps.rc_solution_space
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    # patched where the CLI and the library look it up
+    monkeypatch.setattr(cli, "rc_solution_space", counting)
+    monkeypatch.setattr(rcmaps, "rc_solution_space", counting)
+    assert main(["classify", "--builder", "full-alt:3", "--field", "2^2"]) == 0
+    assert len(calls) == 1
+    assert "linear range-compatible maps: dim" in capsys.readouterr().out
+
+
 def test_classify_full_sym_and_frobenius_block(tmp_path):
     out = tmp_path / "fs.json"
     assert main(["classify", "--builder", "full-sym:2", "--field", "2",

@@ -6,12 +6,15 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rckit.errors import ShapeMismatch
 from rckit.field import make_field
 from rckit.linalg import (
     Matrix,
     SubspaceBasis,
+    accumulator_kernel,
     annihilator,
     column_space,
     echelonize,
@@ -20,6 +23,7 @@ from rckit.linalg import (
     intersect_spaces,
     kernel_basis,
     left_kernel_rows,
+    make_accumulator,
     matrix_from_json,
     matrix_from_rows,
     matrix_to_json,
@@ -161,6 +165,29 @@ def test_kernel_against_enumeration():
             assert field.q ** ker.dim == len(oracle)
             assert all(v in oracle for v in ker.vectors)
             assert ker == SubspaceBasis.from_vectors(field, m.cols, sorted(oracle))
+
+
+@st.composite
+def row_sets(draw):
+    """A field, a width and a list of rows over it (possibly empty)."""
+    f = draw(st.sampled_from([F2, F3, F4]))
+    width = draw(st.integers(0, 7))
+    row = st.tuples(*[st.integers(0, f.q - 1)] * width)
+    return f, width, draw(st.lists(row, max_size=8))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(row_sets())
+@example((F2, 5, []))
+@example((F3, 4, [(1, 2, 0, 1), (2, 1, 0, 2)]))
+def test_accumulator_kernel_matches_kernel_basis(case):
+    f, width, rows = case
+    want = kernel_basis(Matrix(f, len(rows), width, tuple(x for r in rows for x in r)))
+    for force_generic in (False, True):
+        acc = make_accumulator(f, width, force_generic)
+        for r in rows:
+            acc.add(r if force_generic or f.q != 2 else sum(x << j for j, x in enumerate(r)))
+        assert accumulator_kernel(f, acc) == want
 
 
 def test_kernel_edge_shapes():

@@ -17,7 +17,7 @@ from rckit.errors import (
     NotInDomain,
 )
 from rckit.field import make_field
-from rckit.linalg import SubspaceBasis, matrix_from_rows
+from rckit.linalg import SubspaceBasis, left_kernel_rows, matrix_from_rows
 from rckit.opspace import (
     KIND_ALT,
     KIND_FULL,
@@ -69,6 +69,8 @@ from rckit.rcmaps import (
     split_map,
     standard_space,
     zero_map,
+    MapSpace,
+    _gf2_left_kernel,
     _naive_rc_maps_generic,
     _naive_rc_maps_gf2,
     _rc_element_walk,
@@ -200,6 +202,7 @@ def test_rc_solver_matches_oracle_on_random_subspaces():
             s = space_from_coords(amb, vecs)
             rc = rc_solution_space(s)
             assert set(rc.basis.enumerate_elements()) == set(naive_rc_maps(s))
+            assert rc_solution_space(s, target=standard_space(s)) == rc
 
 
 @st.composite
@@ -219,7 +222,13 @@ def f2_spaces(draw):
 @example(space_from_coords(Ambient(F2, KIND_SYM, 2, 1), []))
 @example(full_space(Ambient(F2, KIND_ALT, 3, 1)))
 def test_gf2_packed_solver_matches_element_walk(space):
-    assert rc_solution_space(space) == _rc_element_walk(space)
+    full = _rc_element_walk(space)
+    assert rc_solution_space(space) == full
+    # local maps are range-compatible on every ambient, so they are a valid
+    # target for both walks
+    loc = local_space(space)
+    assert rc_solution_space(space, target=loc) == full
+    assert _rc_element_walk(space, target=loc) == full
 
 
 def test_gf2_packed_solver_matches_element_walk_on_sym3_codim1():
@@ -227,6 +236,98 @@ def test_gf2_packed_solver_matches_element_walk_on_sym3_codim1():
     assert len(cases) == 64
     for s in cases:
         assert rc_solution_space(s) == _rc_element_walk(s)
+
+
+@pytest.mark.parametrize(
+    "amb, codim, target_of",
+    [
+        (Ambient(F2, KIND_SYM, 3, 0), 1, standard_space),
+        (Ambient(F3, KIND_SYM, 3, 0), 1, standard_space),
+        (Ambient(F2, KIND_ALT, 4, 0), 1, local_space),
+        (Ambient(F4, KIND_SYM, 2, 0), 1, standard_space),
+    ],
+    ids=["sym3-f2", "sym3-f3", "alt4-f2", "sym2-f4"],
+)
+def test_certified_stop_matches_full_walk(amb, codim, target_of):
+    for s in enumerate_subspaces_up_to(amb, codim):
+        target = target_of(s)
+        full = rc_solution_space(s)
+        got = rc_solution_space(s, target=target)
+        assert got == full
+        # when RC is the target the walk must stop early, returning target
+        assert (got is target) == (full == target)
+
+
+def test_certified_stop_runs_on_when_rc_exceeds_target():
+    # the Frobenius block map makes RC strictly larger than the standard
+    # maps, so the goal rank is never reached and the exact RC comes back
+    s = build_sym_block(F4, 3)
+    full = rc_solution_space(s)
+    std = standard_space(s)
+    assert full.dim > std.dim
+    assert rc_solution_space(s, target=std) == full
+
+
+def _wrong_target(space, rc):
+    """The standard maps with one basis vector swapped for a unit vector
+    outside RC: the right dimension, but not range-compatible."""
+    std = standard_space(space)
+    assert std == rc
+    width = map_coord_width(space)
+    unit = next(
+        v
+        for v in (tuple(int(t == i) for t in range(width)) for i in range(width))
+        if not rc.basis.member(v)
+    )
+    vecs = list(std.basis.vectors[:-1]) + [unit]
+    wrong = MapSpace(space, SubspaceBasis.from_vectors(rc.basis.field, width, vecs))
+    assert wrong.dim == std.dim and wrong != std
+    return wrong
+
+
+@pytest.mark.parametrize(
+    "space",
+    [
+        build_full_sym(F2, 3),
+        build_full_sym(F2, 2, 1),
+        build_full_sym(F3, 3),
+        build_full_sym(F4, 2),
+        space_from_coords(Ambient(F2, KIND_SYM, 3, 0), [(1, 0, 0, 1, 0, 0), (0, 1, 0, 0, 0, 1)]),
+    ],
+    ids=["sym3-f2", "sym2+1-f2", "sym3-f3", "sym2-f4", "sym3-f2-dim2"],
+)
+def test_certified_stop_never_returns_a_wrong_target(space):
+    rc = rc_solution_space(space)
+    wrong = _wrong_target(space, rc)
+    assert rc_solution_space(space, target=wrong) == rc
+    assert _rc_element_walk(space, target=wrong) == rc
+
+
+def test_certified_stop_rejects_a_target_on_another_domain():
+    with pytest.raises(AmbientMismatch):
+        rc_solution_space(build_full_sym(F2, 3), target=local_space(build_full_sym(F2, 2)))
+
+
+def _same_left_kernel(key, n, ncols):
+    entries = tuple((key >> t) & 1 for t in range(n * ncols))
+    memo = [tuple((c >> i) & 1 for i in range(n)) for c in _gf2_left_kernel(key, n, ncols)]
+    want = left_kernel_rows(F2, entries, n, ncols)
+    return SubspaceBasis.from_vectors(F2, n, memo) == SubspaceBasis.from_vectors(F2, n, want)
+
+
+def test_memoized_gf2_left_kernel_matches_left_kernel_rows():
+    # interleave shapes so a cache that ignored (n, ncols) would answer one
+    # shape with another's kernel
+    for key in range(1 << 9):
+        for n, ncols in ((3, 3), (1, 9), (9, 1)):
+            assert _same_left_kernel(key, n, ncols), (key, n, ncols)
+        if key < 1 << 6:
+            for n, ncols in ((2, 3), (3, 2)):
+                assert _same_left_kernel(key, n, ncols), (key, n, ncols)
+    s = build_full_sym(F2, 4)
+    for _, coords in iter_space_elements(s):
+        key = sum(1 << t for t, x in enumerate(decode(s.ambient, coords).entries) if x)
+        assert _same_left_kernel(key, 4, 4)
 
 
 def test_gf2_oracle_matches_generic_oracle():
@@ -396,7 +497,7 @@ def test_linear_rc_space_on_alternating_spaces():
     # linear range-compatible maps on full alternating spaces are local
     for f, n in [(F2, 3), (F3, 3), (F4, 3), (F2, 4), (F4, 2)]:
         s = build_full_alt(f, n)
-        assert linear_rc_space(s).basis == local_space(s).basis
+        assert linear_rc_space(rc_solution_space(s)).basis == local_space(s).basis
 
 
 # -- quotients and products -------------------------------------------------
