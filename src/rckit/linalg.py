@@ -10,7 +10,6 @@ integer-bitset one for F_2 (rows become Python ints, elimination becomes XOR).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
 from .errors import MixedFields, ShapeMismatch
 from .field import FieldSpec
@@ -35,39 +34,46 @@ def _unpack(bits: int, width: int) -> Vec:
 
 
 class Gf2Accumulator:
-    """Incremental reduced row echelon form over F_2 on packed-int rows."""
+    """Incremental reduced row echelon form over F_2 on packed-int rows.
+
+    Rows are keyed by their pivot bit (1 << pivot column), and mask is the OR
+    of those bits.  In reduced form each row has no other pivot bit, so
+    XORing it into a new row clears exactly its own pivot bit there: one XOR
+    per pivot bit of row & mask reduces the row completely.
+    """
 
     def __init__(self, width: int):
         self.width = width
-        self.piv: dict[int, int] = {}  # pivot column -> packed row
+        self.piv: dict[int, int] = {}  # pivot bit -> packed row
+        self.mask = 0
 
     def add(self, row: int) -> bool:
         """Fold one packed row in; return True when the rank grows."""
         piv = self.piv
-        while row:
-            c = (row & -row).bit_length() - 1
-            if c in piv:
-                row ^= piv[c]
-            else:
-                # clear higher pivot columns from the new row, then clear the
-                # new pivot column from the existing rows
-                for c2, r2 in piv.items():
-                    if (row >> c2) & 1:
-                        row ^= r2
-                for c2, r2 in piv.items():
-                    if (r2 >> c) & 1:
-                        piv[c2] = r2 ^ row
-                piv[c] = row
-                return True
-        return False
+        h = row & self.mask
+        while h:
+            b = h & -h
+            row ^= piv[b]
+            h ^= b
+        if not row:
+            return False
+        # the reduced row's lowest bit is its pivot; every other row's bits
+        # start at its own pivot, so clearing the new one keeps them reduced
+        b = row & -row
+        for b2, r2 in piv.items():
+            if r2 & b:
+                piv[b2] = r2 ^ row
+        piv[b] = row
+        self.mask |= b
+        return True
 
     @property
     def rank(self) -> int:
         return len(self.piv)
 
     def rows_pivots(self) -> tuple[list[int], list[int]]:
-        cols = sorted(self.piv)
-        return [self.piv[c] for c in cols], cols
+        bits = sorted(self.piv)
+        return [self.piv[b] for b in bits], [b.bit_length() - 1 for b in bits]
 
 
 class GenericAccumulator:
@@ -315,10 +321,6 @@ def zero_matrix(field: FieldSpec, rows: int, cols: int) -> Matrix:
     return Matrix(field, rows, cols, (0,) * (rows * cols))
 
 
-def identity_matrix(field: FieldSpec, n: int) -> Matrix:
-    return Matrix(field, n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
-
-
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     """Reduced row echelon form (zero rows dropped) and pivot columns."""
     rows, pivots = echelonize(m.field, [m.row_tuple(i) for i in range(m.rows)], m.cols)
@@ -327,10 +329,6 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
 
 def rank(m: Matrix) -> int:
     return rref(m)[0].rows
-
-
-def column_space(m: Matrix) -> SubspaceBasis:
-    return SubspaceBasis.from_vectors(m.field, m.rows, [m.col_tuple(j) for j in range(m.cols)])
 
 
 def kernel_basis(m: Matrix) -> SubspaceBasis:
@@ -413,34 +411,3 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
     assert num % den == 0
     return num // den
 
-
-def subspace_count_up_to(n: int, c: int, q: int) -> int:
-    """Number of subspaces of codimension 0..c in an n-dimensional space."""
-    return sum(gaussian_binomial(n, n - i, q) for i in range(min(c, n) + 1))
-
-
-# ---------------------------------------------------------------------------
-# JSON
-
-
-def matrix_to_json(m: Matrix) -> dict:
-    return {
-        "rows": m.rows,
-        "cols": m.cols,
-        "entries": [list(m.row_tuple(i)) for i in range(m.rows)],
-    }
-
-
-def matrix_from_json(field: FieldSpec, obj: dict) -> Matrix:
-    rows, cols = int(obj["rows"]), int(obj["cols"])
-    ent = obj["entries"]
-    if len(ent) != rows or any(len(r) != cols for r in ent):
-        raise ShapeMismatch("entries do not match declared shape")
-    flat = []
-    for r in ent:
-        for x in r:
-            x = int(x)
-            if not 0 <= x < field.q:
-                raise ValueError(f"entry {x} out of range for F_{field.q}")
-            flat.append(x)
-    return Matrix(field, rows, cols, tuple(flat))

@@ -46,6 +46,7 @@ from .linalg import (
     Matrix,
     SubspaceBasis,
     accumulator_kernel,
+    echelonize,
     intersect_spaces,
     kernel_basis,
     left_kernel_rows,
@@ -55,6 +56,7 @@ from .linalg import (
 )
 from .opspace import (
     KIND_SYM,
+    Ambient,
     OperatorSpace,
     decode,
     encode,
@@ -140,12 +142,6 @@ class AdditiveMap:
         for v in self.values:
             if len(v) != n or any(not 0 <= x < f.q for x in v):
                 raise AmbientMismatch("value outside K^n")
-
-
-def zero_map(space: OperatorSpace) -> AdditiveMap:
-    n = space.ambient.nrows
-    k = space.ambient.field.k
-    return AdditiveMap(space, tuple(((0,) * n for _ in range(space.dim * k))))
 
 
 def random_map(space: OperatorSpace, rng) -> AdditiveMap:
@@ -277,6 +273,29 @@ class MapSpace:
         return [map_from_coords(self.domain, v) for v in self.basis.vectors]
 
 
+@dataclass(frozen=True, slots=True)
+class MapGenerators:
+    """Generators of a space of additive maps on one domain, not reduced.
+
+    Each generator is in the form the solver folds its constraint rows in: a
+    packed int with bit t for map coordinate t in characteristic 2, a tuple
+    of map coordinates otherwise.  rank is the dimension of their span.
+    """
+
+    domain: OperatorSpace
+    vectors: tuple
+    rank: int
+
+    def span(self) -> MapSpace:
+        """The canonical basis of their span."""
+        fp = prime_field(self.domain)
+        width = map_coord_width(self.domain)
+        vecs = self.vectors
+        if fp.q == 2:
+            vecs = [tuple((g >> t) & 1 for t in range(width)) for g in vecs]
+        return MapSpace(self.domain, SubspaceBasis.from_vectors(fp, width, vecs))
+
+
 def _constraint_rows_for(space: OperatorSpace, coeffs, ann_row, stride: int):
     """The k F_p-rows forcing <a, F(s)> = 0 for one element s and one
     annihilator row a of its column space."""
@@ -303,8 +322,8 @@ def _constraint_rows_for(space: OperatorSpace, coeffs, ann_row, stride: int):
 
 
 def rc_solution_space(
-    space: OperatorSpace, cap: int | None = None, target: MapSpace | None = None
-) -> MapSpace:
+    space: OperatorSpace, cap: int | None = None, target: MapGenerators | None = None
+) -> MapSpace | None:
     """Canonical basis of all range-compatible additive maps on the space.
 
     F is range-compatible exactly when <a, F(s)> = 0 for every element s and
@@ -323,16 +342,21 @@ def rc_solution_space(
     each nonzero element exactly once, as the odometer order does.  The zero
     element imposes nothing.  The element cap applies to both.
 
-    `target` must be a space of maps known to be range-compatible: the local
-    maps, or the standard maps on a symmetric-block space.  With it, either
-    walk stops as soon as the rows folded so far reach rank
-    width - dim(target) and every target basis vector satisfies all of them,
-    and returns target.  That is sound: RC is inside the kernel of the folded
-    rows, which then equals span(target), which is inside RC, because s x
-    lies in the column space of s and, in characteristic 2, the square root
-    of diag(A) lies in the column space of A.  When RC is larger than
-    target the rank never reaches that goal, so the walk runs to the end and
-    returns the exact RC.  A target that fails the check is ignored.
+    `target` must generate maps known to be range-compatible: the local
+    maps, or the standard maps on a symmetric-block space.  Its generators
+    need not be reduced.  With it, either walk returns None as soon as the
+    rows folded so far reach rank goal = width - rank(target) and every
+    generator satisfies all of them.  That certifies RC = span(target): the
+    kernel of the folded rows has dimension rank(target) and contains
+    span(target), so the two are equal; RC lies inside that kernel, and
+    span(target) lies inside RC because s x lies in the column space of s
+    and, in characteristic 2, the square root of diag(A) lies in the column
+    space of A.  With goal 0 this holds before any row is folded.  So the
+    walk returns None, without building a canonical basis, exactly when
+    RC = span(target); when RC is larger the rank never reaches goal and
+    the walk returns the exact RC.  Generators outside RC never pass when
+    their rank is at most dim RC: the rank then reaches goal only once every
+    row is in, and the kernel is RC itself.
     """
     f = space.ambient.field
     limit = element_cap(cap)
@@ -345,32 +369,46 @@ def rc_solution_space(
     return _rc_element_walk(space, target)
 
 
-def _certifier(acc, target: MapSpace | None):
-    """The certified-stop test for a walk folding into acc: call it after
-    each fold that raises the rank; it is True once the folded rows cut out
-    exactly span(target).  Always False without a target."""
-    if target is None:
-        return lambda: False
-    goal = acc.width - target.dim
+def _goal(acc, target: MapGenerators | None) -> int:
+    """The rank at which the rows folded into acc can certify RC =
+    span(target): width - rank(target), or -1 (never) without a target."""
+    return -1 if target is None else acc.width - target.rank
+
+
+def _cuts_out(acc, target: MapGenerators) -> bool:
+    """Whether every target generator satisfies every row folded into acc."""
+    gens = target.vectors
     if isinstance(acc, Gf2Accumulator):
-        gens = [sum(1 << t for t, x in enumerate(v) if x) for v in target.basis.vectors]
-        rows = acc.piv.values()
+        return not any((r & g).bit_count() & 1 for r in acc.piv.values() for g in gens)
+    p = acc.field.p
+    return not any(sum(a * b for a, b in zip(r, g)) % p for r in acc.rows for g in gens)
 
-        def certified() -> bool:
-            return acc.rank == goal and not any(
-                (r & g).bit_count() & 1 for r in rows for g in gens
-            )
 
-    else:
-        gens = target.basis.vectors
-        p = acc.field.p
+@lru_cache(maxsize=256)
+def _gf2_unit_keys(amb: Ambient) -> tuple[int, ...]:
+    """For each coordinate t of an F_2 ambient, the packed entries (bit
+    i*ncols + c for entry (i, c)) of the matrix whose coordinates are e_t."""
+    return tuple(
+        sum(1 << t for t, x in enumerate(decode(amb, unit).entries) if x)
+        for unit in SubspaceBasis.full(amb.field, amb.dim).vectors
+    )
 
-        def certified() -> bool:
-            return acc.rank == goal and not any(
-                sum(a * b for a, b in zip(r, g)) % p for r in acc.rows for g in gens
-            )
 
-    return certified
+@lru_cache(maxsize=1)
+def _gf2_basis_keys(space: OperatorSpace) -> tuple[int, ...]:
+    """The packed entries of each basis matrix of an F_2 space: decode is
+    linear, so a key is the XOR of the unit keys of the vector's coordinates.
+    Kept for the last space, so that the target and the walk of one class
+    case share one key set."""
+    units = _gf2_unit_keys(space.ambient)
+    keys = []
+    for vec in space.basis.vectors:
+        key = 0
+        for u, x in zip(units, vec):
+            if x:
+                key ^= u
+        keys.append(key)
+    return tuple(keys)
 
 
 @lru_cache(maxsize=1 << 16)
@@ -401,7 +439,9 @@ def _gf2_left_kernel(key: int, n: int, ncols: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _rc_gray_gf2(space: OperatorSpace, target: MapSpace | None = None) -> MapSpace:
+def _rc_gray_gf2(
+    space: OperatorSpace, target: MapGenerators | None = None
+) -> MapSpace | None:
     """The F_2 solve on packed ints: matrices as keys with bit i*ncols + c
     for entry (i, c), constraint rows as bitmasks of map coordinates.
 
@@ -416,11 +456,10 @@ def _rc_gray_gf2(space: OperatorSpace, target: MapSpace | None = None) -> MapSpa
     amb = space.ambient
     n, ncols = amb.nrows, amb.ncols
     acc = make_accumulator(prime_field(space), map_coord_width(space))
-    certified = _certifier(acc, target)
-    basis_keys = [
-        sum(1 << t for t, x in enumerate(decode(amb, vec).entries) if x)
-        for vec in space.basis.vectors
-    ]
+    goal = _goal(acc, target)
+    if goal == 0:
+        return None
+    basis_keys = _gf2_basis_keys(space)
     add = acc.add
     key = comb = 0
     for step in range(1, 1 << len(basis_keys)):
@@ -428,12 +467,14 @@ def _rc_gray_gf2(space: OperatorSpace, target: MapSpace | None = None) -> MapSpa
         key ^= basis_keys[j]
         comb ^= 1 << (j * n)
         for c in _gf2_left_kernel(key, n, ncols):
-            if add(c * comb) and certified():
-                return target
+            if add(c * comb) and acc.rank == goal and _cuts_out(acc, target):
+                return None
     return _solution_space(space, acc)
 
 
-def _rc_element_walk(space: OperatorSpace, target: MapSpace | None = None) -> MapSpace:
+def _rc_element_walk(
+    space: OperatorSpace, target: MapGenerators | None = None
+) -> MapSpace | None:
     """The generic solve: decode every element, take the canonical basis of
     its left kernel and fold the resulting constraint rows.
 
@@ -448,7 +489,9 @@ def _rc_element_walk(space: OperatorSpace, target: MapSpace | None = None) -> Ma
     amb = space.ambient
     lams = f.power_basis
     acc = make_accumulator(prime_field(space), map_coord_width(space))
-    certified = _certifier(acc, target)
+    goal = _goal(acc, target)
+    if goal == 0:
+        return None
     packed = isinstance(acc, Gf2Accumulator)
     for coeffs, coords in iter_space_elements(space):
         if not any(coeffs):
@@ -476,12 +519,12 @@ def _rc_element_walk(space: OperatorSpace, target: MapSpace | None = None) -> Ma
                     for j, c in enumerate(coeffs):
                         if c:
                             row |= pat << (j * stride)
-                    if acc.add(row) and certified():
-                        return target
+                    if acc.add(row) and acc.rank == goal and _cuts_out(acc, target):
+                        return None
             else:
                 for row in _constraint_rows_for(space, coeffs, a, stride):
-                    if any(row) and acc.add(row) and certified():
-                        return target
+                    if any(row) and acc.add(row) and acc.rank == goal and _cuts_out(acc, target):
+                        return None
     return _solution_space(space, acc)
 
 
@@ -499,12 +542,54 @@ def local_map(space: OperatorSpace, x) -> AdditiveMap:
     return AdditiveMap(space, tuple(values))
 
 
+def local_generators(space: OperatorSpace) -> MapGenerators:
+    """Generators of the evaluation maps s -> s x, one for each x = lam e_col
+    over every column col and power-basis element lam."""
+    return _map_generators(space, diagonal=False)
+
+
 def local_space(space: OperatorSpace) -> MapSpace:
     """Span of the evaluation maps, as a subspace of map coordinates."""
-    gens = _local_generators(space, _prime_basis_matrices(space))
-    return MapSpace(
-        space, SubspaceBasis.from_vectors(prime_field(space), map_coord_width(space), gens)
-    )
+    return local_generators(space).span()
+
+
+def _map_generators(space: OperatorSpace, diagonal: bool) -> MapGenerators:
+    """The local generators, followed with diagonal by one diagonal map per
+    root-linear basis form (none in odd characteristic).
+
+    The map s -> lam s e_col takes prime basis matrix j to lam times its
+    column col, and A -> alpha(diag A) takes it to alpha of its diagonal.
+    Over F_2 both are read from the packed basis keys; other fields read
+    them from the decoded prime basis matrices.
+    """
+    amb = space.ambient
+    f = amb.field
+    n, ncols = amb.nrows, amb.ncols
+    if f.q == 2:
+        gens = _gf2_generators(_gf2_basis_keys(space), n, ncols, diagonal)
+    else:
+        mats = _prime_basis_matrices(space)
+        values = [
+            [[f.mul(lam, m.entry(i, col)) for i in range(n)] for m in mats]
+            for col in range(ncols)
+            for lam in f.power_basis
+        ]
+        if diagonal:
+            values.extend(_diag_values(form, mats) for form in root_linear_forms(f))
+        gens = [_coords_of_values(f, v) for v in values]
+        if f.p == 2:
+            gens = [sum(1 << t for t, x in enumerate(g) if x) for g in gens]
+    width = map_coord_width(space)
+    if f.p == 2:
+        # built directly: make_accumulator is the solver's, and perfbench
+        # counts every row folded through it
+        acc = Gf2Accumulator(width)
+        for g in gens:
+            acc.add(g)
+        rank = acc.rank
+    else:
+        rank = len(echelonize(prime_field(space), gens, width)[0])
+    return MapGenerators(space, tuple(gens), rank)
 
 
 def _prime_basis_matrices(space: OperatorSpace) -> list[Matrix]:
@@ -512,17 +597,32 @@ def _prime_basis_matrices(space: OperatorSpace) -> list[Matrix]:
     return [decode(amb, v) for v in prime_basis_vectors(space)]
 
 
-def _local_generators(space: OperatorSpace, mats) -> list[tuple[int, ...]]:
-    """Map coordinates of s -> s x for x = lam e_col, over every column and
-    power-basis element lam: the values are lam times column col of each
-    prime basis matrix in mats."""
-    f = space.ambient.field
-    n = space.ambient.nrows
-    return [
-        _coords_of_values(f, [[f.mul(lam, m.entry(i, col)) for i in range(n)] for m in mats])
-        for col in range(space.ambient.ncols)
-        for lam in f.power_basis
-    ]
+@lru_cache(maxsize=256)
+def _gf2_gather(n: int, stride: int) -> dict[int, int]:
+    """Maps each pattern with bits only at i*stride, i < n, to the n-bit
+    pattern with bit i for each of them."""
+    return {sum(1 << (i * stride) for i in range(n) if c >> i & 1): c for c in range(1 << n)}
+
+
+def _gf2_generators(keys, n: int, ncols: int, diagonal: bool) -> list[int]:
+    """Over F_2, the packed local generators s -> s e_col, one per column,
+    and with diagonal the map s -> diag(s) (the root-linear form is the
+    identity): bit j*n + i is entry (i, col), or (i, i), of basis matrix j,
+    which sits at bit i*ncols + col, or i*ncols + i, of key j."""
+    col_bits = _gf2_gather(n, ncols)
+    col_mask = sum(1 << (i * ncols) for i in range(n))
+    gens = [0] * ncols
+    for j, key in enumerate(keys):
+        shift = j * n
+        for col in range(ncols):
+            gens[col] |= col_bits[(key >> col) & col_mask] << shift
+    if diagonal:
+        diag_bits = _gf2_gather(n, ncols + 1)
+        diag_mask = sum(1 << (i * (ncols + 1)) for i in range(n))
+        gens.append(
+            sum(diag_bits[key & diag_mask] << (j * n) for j, key in enumerate(keys))
+        )
+    return gens
 
 
 def respects_row_decomposition(f_map: AdditiveMap) -> bool:
@@ -639,19 +739,17 @@ def _diag_values(form: RootLinearForm, mats) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(form(m.entry(i, i)) for i in range(m.rows)) for m in mats)
 
 
+def standard_generators(space: OperatorSpace) -> MapGenerators:
+    """Generators of the local maps and (characteristic 2) the diagonal
+    root-linear maps on a symmetric-block space."""
+    if space.ambient.kind != KIND_SYM:
+        raise AmbientMismatch("standard maps are defined on symmetric-block spaces")
+    return _map_generators(space, diagonal=True)
+
+
 def standard_space(space: OperatorSpace) -> MapSpace:
     """Span of local maps and (characteristic 2) diagonal root-linear maps."""
-    amb = space.ambient
-    if amb.kind != KIND_SYM:
-        raise AmbientMismatch("standard maps are defined on symmetric-block spaces")
-    f = amb.field
-    mats = _prime_basis_matrices(space)
-    gens = _local_generators(space, mats)
-    for form in root_linear_forms(f):
-        gens.append(_coords_of_values(f, _diag_values(form, mats)))
-    return MapSpace(
-        space, SubspaceBasis.from_vectors(prime_field(space), map_coord_width(space), gens)
-    )
+    return standard_generators(space).span()
 
 
 def is_standard(f_map: AdditiveMap) -> bool:

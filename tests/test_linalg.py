@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import random
+from functools import reduce
 from itertools import product
+from operator import xor
 
 import pytest
 from hypothesis import example, given, settings
@@ -12,25 +14,21 @@ from hypothesis import strategies as st
 from rckit.errors import ShapeMismatch
 from rckit.field import make_field
 from rckit.linalg import (
+    Gf2Accumulator,
     Matrix,
     SubspaceBasis,
     accumulator_kernel,
     annihilator,
-    column_space,
     echelonize,
     gaussian_binomial,
-    identity_matrix,
     intersect_spaces,
     kernel_basis,
     left_kernel_rows,
     make_accumulator,
-    matrix_from_json,
     matrix_from_rows,
-    matrix_to_json,
     rank,
     rref,
     solve,
-    subspace_count_up_to,
     sum_spaces,
     zero_matrix,
 )
@@ -41,6 +39,15 @@ F4 = make_field(2, 2)
 
 
 # -- brute-force oracles ----------------------------------------------------
+
+
+def identity_matrix(field, n):
+    return matrix_from_rows(field, [[int(i == j) for j in range(n)] for i in range(n)])
+
+
+def subspace_count_up_to(n, c, q):
+    """Number of subspaces of codimension 0..c in an n-dimensional space."""
+    return sum(gaussian_binomial(n, n - i, q) for i in range(min(c, n) + 1))
 
 
 def span_set(field, vectors, width):
@@ -190,6 +197,39 @@ def test_accumulator_kernel_matches_kernel_basis(case):
         assert accumulator_kernel(f, acc) == want
 
 
+@st.composite
+def gf2_row_streams(draw):
+    """A width of 1 to 64 and a stream of packed rows, some of them XORs of
+    a few earlier-drawn rows so that the stream repeats dependencies."""
+    width = draw(st.integers(1, 64))
+    row = st.integers(0, (1 << width) - 1)
+    base = draw(st.lists(row, min_size=1, max_size=6))
+    combo = st.lists(st.sampled_from(base), min_size=1, max_size=3).map(
+        lambda rs: reduce(xor, rs)
+    )
+    return width, draw(st.lists(st.one_of(row, combo), max_size=30))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(gf2_row_streams())
+@example((1, [0, 1, 1, 0]))
+@example((3, [0b110, 0b011, 0b101, 0b001, 0b111]))
+def test_gf2_accumulator_matches_generic_accumulator(stream):
+    width, rows = stream
+    fast = make_accumulator(F2, width)
+    slow = make_accumulator(F2, width, force_generic=True)
+    assert isinstance(fast, Gf2Accumulator)
+    for r in rows:
+        assert fast.add(r) == slow.add(tuple((r >> j) & 1 for j in range(width)))
+    fast_rows, fast_pivots = fast.rows_pivots()
+    slow_rows, slow_pivots = slow.rows_pivots()
+    assert fast_pivots == slow_pivots
+    assert [tuple((r >> j) & 1 for j in range(width)) for r in fast_rows] == [
+        tuple(r) for r in slow_rows
+    ]
+    assert fast.rank == slow.rank == len(fast_pivots)
+
+
 def test_kernel_edge_shapes():
     assert kernel_basis(zero_matrix(F2, 0, 3)).dim == 3
     assert kernel_basis(zero_matrix(F2, 3, 0)).dim == 0
@@ -201,7 +241,7 @@ def test_column_space_and_left_kernel():
     for field in (F2, F3):
         for _ in range(25):
             m = random_matrix(rng, field, rng.randrange(1, 4), rng.randrange(0, 4))
-            cs = column_space(m)
+            cs = SubspaceBasis.from_vectors(field, m.rows, [m.col_tuple(j) for j in range(m.cols)])
             for j in range(m.cols):
                 assert cs.member(m.col_tuple(j))
             assert cs.dim == rank(m)
@@ -320,13 +360,3 @@ def test_matrix_ops():
     with pytest.raises(ShapeMismatch):
         zero_matrix(F2, 2, 3).mat_vec((0, 0))
 
-
-def test_matrix_json_round_trip():
-    m = matrix_from_rows(F4, [(0, 1, 2), (3, 2, 1)])
-    obj = matrix_to_json(m)
-    assert obj == {"rows": 2, "cols": 3, "entries": [[0, 1, 2], [3, 2, 1]]}
-    assert matrix_from_json(F4, obj) == m
-    with pytest.raises(ValueError):
-        matrix_from_json(F2, {"rows": 1, "cols": 1, "entries": [[5]]})
-    with pytest.raises(ShapeMismatch):
-        matrix_from_json(F2, {"rows": 2, "cols": 1, "entries": [[1]]})

@@ -49,6 +49,7 @@ from rckit.rcmaps import (
     join_maps,
     linear_maps_space,
     linear_rc_space,
+    local_generators,
     local_map,
     local_space,
     map_coord_width,
@@ -67,9 +68,10 @@ from rckit.rcmaps import (
     root_linear_form,
     root_linear_forms,
     split_map,
+    standard_generators,
     standard_space,
-    zero_map,
-    MapSpace,
+    MapGenerators,
+    _gf2_basis_keys,
     _gf2_left_kernel,
     _naive_rc_maps_generic,
     _naive_rc_maps_gf2,
@@ -79,6 +81,13 @@ from rckit.rcmaps import (
 F2 = make_field(2)
 F3 = make_field(3)
 F4 = make_field(2, 2)
+F8 = make_field(2, 3)
+
+
+def zero_map(space):
+    """The map sending every element to 0."""
+    n, k = space.ambient.nrows, space.ambient.field.k
+    return AdditiveMap(space, tuple((0,) * n for _ in range(space.dim * k)))
 
 
 def delta_map(space):
@@ -202,7 +211,9 @@ def test_rc_solver_matches_oracle_on_random_subspaces():
             s = space_from_coords(amb, vecs)
             rc = rc_solution_space(s)
             assert set(rc.basis.enumerate_elements()) == set(naive_rc_maps(s))
-            assert rc_solution_space(s, target=standard_space(s)) == rc
+            # None exactly when the standard maps are all of RC
+            want = None if rc == standard_space(s) else rc
+            assert rc_solution_space(s, target=standard_generators(s)) == want
 
 
 @st.composite
@@ -225,10 +236,11 @@ def test_gf2_packed_solver_matches_element_walk(space):
     full = _rc_element_walk(space)
     assert rc_solution_space(space) == full
     # local maps are range-compatible on every ambient, so they are a valid
-    # target for both walks
-    loc = local_space(space)
-    assert rc_solution_space(space, target=loc) == full
-    assert _rc_element_walk(space, target=loc) == full
+    # target for both walks, which certify it exactly when it is all of RC
+    gens = local_generators(space)
+    want = None if full == local_space(space) else full
+    assert rc_solution_space(space, target=gens) == want
+    assert _rc_element_walk(space, target=gens) == want
 
 
 def test_gf2_packed_solver_matches_element_walk_on_sym3_codim1():
@@ -241,10 +253,10 @@ def test_gf2_packed_solver_matches_element_walk_on_sym3_codim1():
 @pytest.mark.parametrize(
     "amb, codim, target_of",
     [
-        (Ambient(F2, KIND_SYM, 3, 0), 1, standard_space),
-        (Ambient(F3, KIND_SYM, 3, 0), 1, standard_space),
-        (Ambient(F2, KIND_ALT, 4, 0), 1, local_space),
-        (Ambient(F4, KIND_SYM, 2, 0), 1, standard_space),
+        (Ambient(F2, KIND_SYM, 3, 0), 1, standard_generators),
+        (Ambient(F3, KIND_SYM, 3, 0), 1, standard_generators),
+        (Ambient(F2, KIND_ALT, 4, 0), 1, local_generators),
+        (Ambient(F4, KIND_SYM, 2, 0), 1, standard_generators),
     ],
     ids=["sym3-f2", "sym3-f3", "alt4-f2", "sym2-f4"],
 )
@@ -252,10 +264,10 @@ def test_certified_stop_matches_full_walk(amb, codim, target_of):
     for s in enumerate_subspaces_up_to(amb, codim):
         target = target_of(s)
         full = rc_solution_space(s)
-        got = rc_solution_space(s, target=target)
-        assert got == full
-        # when RC is the target the walk must stop early, returning target
-        assert (got is target) == (full == target)
+        # when RC is the span of the target the walk must stop early,
+        # returning None; otherwise it returns the exact RC
+        want = None if full == target.span() else full
+        assert rc_solution_space(s, target=target) == want
 
 
 def test_certified_stop_runs_on_when_rc_exceeds_target():
@@ -263,26 +275,29 @@ def test_certified_stop_runs_on_when_rc_exceeds_target():
     # maps, so the goal rank is never reached and the exact RC comes back
     s = build_sym_block(F4, 3)
     full = rc_solution_space(s)
-    std = standard_space(s)
-    assert full.dim > std.dim
+    std = standard_generators(s)
+    assert full.dim > std.rank == std.span().dim
     assert rc_solution_space(s, target=std) == full
 
 
 def _wrong_target(space, rc):
     """The standard maps with one basis vector swapped for a unit vector
-    outside RC: the right dimension, but not range-compatible."""
-    std = standard_space(space)
-    assert std == rc
+    outside RC, as generators with a repeat: the rank of RC, but not all
+    range-compatible."""
+    assert standard_space(space) == rc
     width = map_coord_width(space)
     unit = next(
         v
         for v in (tuple(int(t == i) for t in range(width)) for i in range(width))
         if not rc.basis.member(v)
     )
-    vecs = list(std.basis.vectors[:-1]) + [unit]
-    wrong = MapSpace(space, SubspaceBasis.from_vectors(rc.basis.field, width, vecs))
-    assert wrong.dim == std.dim and wrong != std
-    return wrong
+    vecs = list(rc.basis.vectors[:-1]) + [unit]
+    wrong = SubspaceBasis.from_vectors(rc.basis.field, width, vecs)
+    assert wrong.dim == rc.dim and wrong != rc.basis
+    gens = vecs + vecs[:1]
+    if rc.basis.field.q == 2:  # the packed form the F_2 accumulator folds
+        gens = [sum(x << t for t, x in enumerate(v)) for v in gens]
+    return MapGenerators(space, tuple(gens), wrong.dim)
 
 
 @pytest.mark.parametrize(
@@ -297,6 +312,7 @@ def _wrong_target(space, rc):
     ids=["sym3-f2", "sym2+1-f2", "sym3-f3", "sym2-f4", "sym3-f2-dim2"],
 )
 def test_certified_stop_never_returns_a_wrong_target(space):
+    # never None: the walk runs to the end and returns the exact RC
     rc = rc_solution_space(space)
     wrong = _wrong_target(space, rc)
     assert rc_solution_space(space, target=wrong) == rc
@@ -305,7 +321,79 @@ def test_certified_stop_never_returns_a_wrong_target(space):
 
 def test_certified_stop_rejects_a_target_on_another_domain():
     with pytest.raises(AmbientMismatch):
-        rc_solution_space(build_full_sym(F2, 3), target=local_space(build_full_sym(F2, 2)))
+        rc_solution_space(
+            build_full_sym(F2, 3), target=local_generators(build_full_sym(F2, 2))
+        )
+
+
+def _decoded_key(amb, vec):
+    return sum(1 << t for t, x in enumerate(decode(amb, vec).entries) if x)
+
+
+@pytest.mark.parametrize("kind", [KIND_SYM, KIND_ALT, KIND_FULL])
+def test_gf2_basis_keys_match_decoded_keys(kind):
+    rng = random.Random(53)
+    for n in range(1, 5):
+        for m in range(3):
+            amb = Ambient(F2, kind, n, m)
+            # the full space's basis is every unit vector
+            spaces = [full_space(amb)]
+            spaces += [
+                space_from_coords(
+                    amb,
+                    [
+                        tuple(rng.randrange(2) for _ in range(amb.dim))
+                        for _ in range(rng.randrange(1, 4))
+                    ],
+                )
+                for _ in range(10)
+            ]
+            for s in spaces:
+                want = tuple(_decoded_key(amb, v) for v in s.basis.vectors)
+                assert _gf2_basis_keys(s) == want, (kind, n, m, s.basis.vectors)
+
+
+def _generator_oracle(space, standard):
+    """The span of the local maps s -> s (lam e_col) and, for standard, the
+    diagonal root-linear maps, each built as an AdditiveMap."""
+    f = space.ambient.field
+    ncols = space.ambient.ncols
+    vecs = [
+        map_to_coords(local_map(space, tuple(lam if c == col else 0 for c in range(ncols))))
+        for col in range(ncols)
+        for lam in f.power_basis
+    ]
+    if standard:
+        vecs += [map_to_coords(diag_root_linear_map(space, a)) for a in root_linear_forms(f)]
+    return SubspaceBasis.from_vectors(make_field(f.p), map_coord_width(space), vecs)
+
+
+@pytest.mark.parametrize("field", [F2, F3, F4, F8], ids=["f2", "f3", "f4", "f8"])
+def test_generator_spans_match_map_oracle(field):
+    rng = random.Random(59)
+    ambients = [
+        Ambient(field, kind, n, m)
+        for kind in (KIND_SYM, KIND_ALT)
+        for n in (2, 3)
+        for m in (0, 1)
+    ] + [Ambient(field, KIND_FULL, 2, 2), Ambient(field, KIND_FULL, 3, 1)]
+    for amb in ambients:
+        for _ in range(4):
+            vecs = [
+                tuple(rng.randrange(field.q) for _ in range(amb.dim))
+                for _ in range(rng.randrange(0, 4))
+            ]
+            s = space_from_coords(amb, vecs)
+            kinds = [(local_generators, local_space, False)]
+            if amb.kind == KIND_SYM:
+                kinds.append((standard_generators, standard_space, True))
+            for build, canonical, standard in kinds:
+                want = _generator_oracle(s, standard)
+                gens = build(s)
+                assert gens.domain == s
+                assert gens.rank == want.dim
+                assert gens.span().basis == want
+                assert canonical(s).basis == want
 
 
 def _same_left_kernel(key, n, ncols):

@@ -15,16 +15,20 @@ from rckit.field import make_field
 from rckit.linalg import Matrix, gaussian_binomial, kernel_basis, matrix_from_rows
 from rckit.opspace import (
     Ambient,
+    KIND_ALT,
+    KIND_FULL,
     KIND_SYM,
     build_full_sym,
     build_sym_block,
     dual_rref_rows,
     encode,
+    enumerate_subspaces_up_to,
     space_from_json,
 )
 from rckit.rcmaps import (
     is_range_compatible,
     is_standard,
+    local_space,
     map_from_coords,
     rc_solution_space,
     standard_space,
@@ -158,6 +162,56 @@ def test_failure_payload_replays():
     f_map = map_from_coords(rebuilt, tuple(payload["map"]))
     assert is_range_compatible(f_map)
     assert not is_standard(f_map)
+
+
+def _reference_class_case(space, standard):
+    """A class case's failures from the full walk, with no target, and the
+    canonical standard or local space built eagerly."""
+    rc = rc_solution_space(space)
+    if standard:
+        std = standard_space(space)
+        return [
+            V._failure(space, vec, "range-compatible map is not standard")
+            for vec in rc.basis.vectors
+            if not std.basis.member(vec)
+        ]
+    loc = local_space(space)
+    out = [
+        V._failure(space, vec, "range-compatible map is not local")
+        for vec in rc.basis.vectors
+        if not loc.basis.member(vec)
+    ]
+    out.extend(
+        V._failure(space, vec, "local map missing from the solution space")
+        for vec in loc.basis.vectors
+        if not rc.basis.member(vec)
+    )
+    return out
+
+
+@pytest.mark.parametrize(
+    "amb, standard",
+    [
+        (Ambient(F2, KIND_SYM, 3, 0), True),
+        (Ambient(F2, KIND_SYM, 4, 0), True),
+        (Ambient(F3, KIND_SYM, 3, 0), True),
+        (Ambient(F2, KIND_ALT, 4, 0), False),
+        (Ambient(F2, KIND_ALT, 5, 0), False),
+        (Ambient(F2, KIND_FULL, 3, 2), False),
+        # local is smaller than RC here, so every case fails
+        (Ambient(F2, KIND_SYM, 3, 0), False),
+    ],
+    ids=["sym3-f2", "sym4-f2", "sym3-f3", "alt4-f2", "alt5-f2", "rect3x2-f2", "sym3-f2-local"],
+)
+def test_class_cases_match_full_walk_reference(amb, standard):
+    case = V._standard_class_case if standard else V._local_class_case
+    failing = 0
+    for s in enumerate_subspaces_up_to(amb, 1):
+        got = case(1 << 20, s)
+        assert got == _reference_class_case(s, standard)
+        failing += bool(got)
+    if not standard and amb.kind == KIND_SYM:
+        assert failing == 64
 
 
 def test_sym_block_space_is_outside_the_theorem_range():
