@@ -194,9 +194,6 @@ class SubspaceBasis:
     def member(self, v) -> bool:
         return self.coords_of(v) is not None
 
-    def contains_space(self, other: "SubspaceBasis") -> bool:
-        return all(self.member(v) for v in other.vectors)
-
     def enumerate_elements(self):
         """Yield every vector of the subspace (q^dim of them), zero first."""
         f = self.field

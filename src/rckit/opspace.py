@@ -194,31 +194,6 @@ def _check_same_field(a: OperatorSpace, b: OperatorSpace) -> None:
         raise MixedFields("spaces over different fields")
 
 
-def direct_sum(a: OperatorSpace, b: OperatorSpace) -> OperatorSpace:
-    """Block-diagonal sum of two tailless sym (or alt) spaces."""
-    _check_same_field(a, b)
-    ka, kb = a.ambient.kind, b.ambient.kind
-    if ka != kb or ka == KIND_FULL or a.ambient.m or b.ambient.m:
-        raise AmbientMismatch("direct_sum needs two tailless spaces of one kind")
-    f = a.ambient.field
-    na, nb = a.ambient.n, b.ambient.n
-    big = Ambient(f, ka, na + nb, 0)
-    mats = []
-    for mat in a.basis_matrices():
-        ent = [[0] * (na + nb) for _ in range(na + nb)]
-        for i in range(na):
-            for j in range(na):
-                ent[i][j] = mat.entry(i, j)
-        mats.append(matrix_from_rows(f, ent))
-    for mat in b.basis_matrices():
-        ent = [[0] * (na + nb) for _ in range(na + nb)]
-        for i in range(nb):
-            for j in range(nb):
-                ent[na + i][na + j] = mat.entry(i, j)
-        mats.append(matrix_from_rows(f, ent))
-    return space_from_matrices(big, mats)
-
-
 def side_by_side(a: OperatorSpace, b: OperatorSpace) -> OperatorSpace:
     """All matrices [M | R] with M in a and R in b; b must be a full space
     of rectangles with the same number of rows."""
@@ -249,26 +224,6 @@ def restricted_part(s: OperatorSpace) -> OperatorSpace:
         for v in _coordinate_section(s, block_dim).vectors
     ]
     return space_from_coords(Ambient(amb.field, amb.kind, amb.n, 0), vecs)
-
-
-def modulo_part(s: OperatorSpace) -> OperatorSpace:
-    """Projection of s onto its tail coordinates."""
-    amb = s.ambient
-    if amb.kind == KIND_FULL:
-        raise AmbientMismatch("modulo_part needs a sym or alt ambient")
-    block_dim = Ambient(amb.field, amb.kind, amb.n, 0).dim
-    tail_amb = Ambient(amb.field, KIND_FULL, amb.n, amb.m)
-    # tail coordinates of the ambient are column-major; reorder to row-major
-    order = _tail_reorder(amb)
-    vecs = [tuple(v[block_dim + t] for t in order) for v in s.basis.vectors]
-    return space_from_coords(tail_amb, vecs)
-
-
-def _tail_reorder(amb: Ambient):
-    tail = amb.tail_positions()
-    target = [(i, j - amb.n) for i, j in tail]
-    want = [(i, j) for i in range(amb.n) for j in range(amb.m)]
-    return [target.index(p) for p in want]
 
 
 def _coordinate_section(s: OperatorSpace, block_dim: int) -> SubspaceBasis:
@@ -546,20 +501,6 @@ def build_mf(f: FieldSpec, r: int, coeffs) -> OperatorSpace:
         v[block + 0] = f.neg(1)
         gens.append(tuple(v))
     return space_from_coords(amb, gens)
-
-
-def mf_membership(f: FieldSpec, r: int, coeffs, mat: Matrix) -> bool:
-    """Direct membership test for build_mf spaces, used as an oracle."""
-    amb = Ambient(f, KIND_ALT, 3, r)
-    v = encode(amb, mat)
-    lhs = 0
-    for t in range(r):
-        lhs = f.add(lhs, mat.entry(t, 3 + t))
-    rhs = 0
-    for w in range(3):
-        for u in range(r):
-            rhs = f.add(rhs, f.mul(v[w], coeffs[w * r * r + u * r + u]))
-    return lhs == rhs
 
 
 _FAMILY_BUILDERS = {

@@ -12,10 +12,13 @@ Everything here reduces questions about such maps to F_p-linear algebra:
 * F is range-compatible when F(s) lies in the column space of s for every
   s in S.  The solution set of that condition is the kernel of explicit
   F_p-linear constraints (one batch per pair (s, annihilator row of s)).
-  Over F_2 the constraints come from a packed-bitset walk of the elements
-  in Gray-code order; other fields walk decoded elements one by one, and
-  that generic walk is kept as the F_2 walk's reference (see
-  rc_solution_space for why the two agree).
+  Two builders produce them.  In characteristic 2 the prime coefficients
+  are bits, and a packed-bitset walk visits the elements in Gray-code order
+  over the prime basis (`_rc_gray_gf2`).  In odd characteristic the element
+  walk (`_rc_element_walk`) decodes the elements one by one and builds
+  tuple rows (`_constraint_rows_for`); it is also the reference the tests
+  compare the Gray walk against on every field (see rc_solution_space for
+  why the two agree).
 * F is local when it is evaluation at a fixed vector, F(s) = s x.
 * In characteristic 2 the diagonal maps s -> alpha(diag of the symmetric
   block) for root-linear alpha (additive with alpha(c^2 x) = c alpha(x))
@@ -30,7 +33,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .errors import (
     AmbientMismatch,
@@ -330,17 +333,24 @@ def rc_solution_space(
     every a in the left kernel of s (the annihilator of its column space).
     Each such pair gives F_p-linear constraints on the map coordinates; the
     answer is the kernel of the stacked system.  Two walks produce the
-    constraints, chosen by the field:
+    constraints, chosen by the characteristic p:
 
-    * F_2 (q = 2): `_rc_gray_gf2`, a packed-bitset walk in Gray-code order.
-    * every other field: `_rc_element_walk`, the generic walk, which also
-      serves as the oracle the tests compare the F_2 walk against.
+    * p = 2: `_rc_gray_gf2`, a packed-bitset walk in Gray-code order over
+      the d*k prime basis matrices.  Its rows are pattern * comb: a pattern
+      covers the stride = n*k map coordinates of one prime basis matrix, and
+      comb has bit j*stride for each basis matrix j in the element's
+      support.  The product is carry-free because every pattern is below
+      2^stride.
+    * odd p: `_rc_element_walk`, which folds `_constraint_rows_for` rows.
+      It runs on every field and is the reference the tests compare the
+      Gray walk against.
 
-    The two are interchangeable on F_2 because the result depends only on
-    the span of the constraint rows: any basis of the left kernel of s spans
-    the same rows (the row of a is linear in a), and the Gray order visits
-    each nonzero element exactly once, as the odometer order does.  The zero
-    element imposes nothing.  The element cap applies to both.
+    The two are interchangeable because the result depends only on the span
+    of the constraint rows: any basis of the left kernel of s spans the same
+    rows (the rows of a are F_p-linear in a, and those of c*a are F_p-
+    combinations of those of a), and the Gray order visits each nonzero
+    element exactly once, as the odometer order does.  The zero element
+    imposes nothing.  The element cap applies to both.
 
     `target` must generate maps known to be range-compatible: the local
     maps, or the standard maps on a symmetric-block space.  Its generators
@@ -364,7 +374,7 @@ def rc_solution_space(
         raise DomainTooLarge(f"{f.q ** space.dim} elements exceeds cap {limit}")
     if target is not None and target.domain != space:
         raise AmbientMismatch("target maps live on a different domain")
-    if f.q == 2:
+    if f.p == 2:
         return _rc_gray_gf2(space, target)
     return _rc_element_walk(space, target)
 
@@ -386,35 +396,45 @@ def _cuts_out(acc, target: MapGenerators) -> bool:
 
 @lru_cache(maxsize=256)
 def _gf2_unit_keys(amb: Ambient) -> tuple[int, ...]:
-    """For each coordinate t of an F_2 ambient, the packed entries (bit
-    i*ncols + c for entry (i, c)) of the matrix whose coordinates are e_t."""
+    """For each coordinate t of a characteristic-2 ambient, the packed
+    entries of the matrix whose coordinates are e_t: a key packs k bits per
+    entry, entry (i, c) at bit (i*ncols + c)*k, so that field addition of
+    matrices is XOR of keys.  Unit matrices have 0/1 entries (-1 = 1 in the
+    alternating kind), so only the low bit of each slot is set."""
+    k = amb.field.k
     return tuple(
-        sum(1 << t for t, x in enumerate(decode(amb, unit).entries) if x)
+        sum(1 << (t * k) for t, x in enumerate(decode(amb, unit).entries) if x)
         for unit in SubspaceBasis.full(amb.field, amb.dim).vectors
     )
 
 
 @lru_cache(maxsize=1)
 def _gf2_basis_keys(space: OperatorSpace) -> tuple[int, ...]:
-    """The packed entries of each basis matrix of an F_2 space: decode is
-    linear, so a key is the XOR of the unit keys of the vector's coordinates.
-    Kept for the last space, so that the target and the walk of one class
-    case share one key set."""
+    """The packed entries of each prime basis matrix x^t b_i of a
+    characteristic-2 space, indexed by j = i*k + t.  decode is linear and a
+    unit key has 1 in the low bit of each of its slots, so the key of a
+    coordinate vector v is the XOR of v_c times the unit key of each
+    coordinate c.  Kept for the last space, so that the target and the walk
+    of one class case share one key set."""
+    f = space.ambient.field
     units = _gf2_unit_keys(space.ambient)
     keys = []
     for vec in space.basis.vectors:
-        key = 0
-        for u, x in zip(units, vec):
-            if x:
-                key ^= u
-        keys.append(key)
+        for lam in f.power_basis:
+            scaled = vec if lam == 1 else [f.mul(lam, x) for x in vec]
+            key = 0
+            for u, x in zip(units, scaled):
+                if x:
+                    key ^= x * u
+            keys.append(key)
     return tuple(keys)
 
 
 @lru_cache(maxsize=1 << 16)
 def _gf2_left_kernel(key: int, n: int, ncols: int) -> tuple[int, ...]:
     """Row bitmasks spanning the left kernel of the n x ncols F_2 matrix
-    whose entry (i, c) is bit i*ncols + c of key.
+    whose entry (i, c) is bit i*ncols + c of key: the constraint patterns
+    of the matrix over F_2 (see _char2_patterns).
 
     Eliminate the rows in order, tracking in c which original rows each
     reduced row combines.  Each pivot row is reduced by the earlier ones, so
@@ -439,34 +459,70 @@ def _gf2_left_kernel(key: int, n: int, ncols: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=1 << 16)
+def _char2_patterns(f: FieldSpec, key: int, n: int, ncols: int) -> tuple[int, ...]:
+    """The constraint patterns of the n x ncols matrix over f, of
+    characteristic 2 and degree k > 1, whose entry (i, c) is the k-bit slot
+    (i*ncols + c)*k of key.
+
+    For each vector a of the canonical basis of the left kernel there are k
+    patterns: bit i*k + u of pattern_w is digit w of a_i x^u, so pattern_w
+    shifted by j*stride is the row forcing digit w of <a, F(u_j)> to
+    vanish, and the sum of such shifts over the support of an element s
+    does so for <a, F(s)>.  Zero patterns are dropped.  Over F_2 the one
+    pattern of a is its bitmask of rows, which _gf2_left_kernel computes
+    without leaving packed ints.  The result depends on the field and the
+    matrix alone, so the cache is shared by every solve in the process.
+    """
+    k = f.k
+    entries = tuple((key >> (t * k)) & (f.q - 1) for t in range(n * ncols))
+    out = []
+    for a in left_kernel_rows(f, entries, n, ncols):
+        patterns = [0] * k
+        for i, ai in enumerate(a):
+            if ai:
+                for u, lam in enumerate(f.power_basis):
+                    for w, dig in enumerate(f.prime_coords(f.mul(ai, lam))):
+                        if dig:
+                            patterns[w] |= 1 << (i * k + u)
+        out.extend(pat for pat in patterns if pat)
+    return tuple(out)
+
+
 def _rc_gray_gf2(
     space: OperatorSpace, target: MapGenerators | None = None
 ) -> MapSpace | None:
-    """The F_2 solve on packed ints: matrices as keys with bit i*ncols + c
-    for entry (i, c), constraint rows as bitmasks of map coordinates.
+    """The characteristic-2 solve on packed ints: matrices as keys with k
+    bits per entry (see _gf2_unit_keys), constraint rows as bitmasks of map
+    coordinates.
 
-    Over F_2 the map coordinate of F(u_j)_i is j*n + i, so for the element
-    s = sum of u_j over j in a support set and a kernel vector a (as a
-    bitmask of rows), the constraint row is a * comb with
-    comb = sum of 1 << (j*n): the copies of a sit in disjoint n-bit slots,
-    so the product has no carries.  Consecutive Gray-code elements differ
-    in one basis matrix, so each step is one XOR on the key and one bit
-    flip in comb.
+    The prime coefficients of an element are bits, so the walk visits the
+    q^dim elements in Gray-code order over the d*k prime basis keys: each
+    step XORs one key into the current element.  The map coordinate of digit
+    u of F(u_j)_i is j*stride + i*k + u with stride = n*k, so for the element
+    s = sum of u_j over j in a support set and a pattern of its matrix (see
+    _char2_patterns), the constraint row is pattern * comb with
+    comb = sum of 1 << (j*stride).  The copies of the pattern sit in
+    disjoint stride-bit slots because pattern < 2^stride, so the product has
+    no carries; each step flips one bit of comb.
     """
     amb = space.ambient
     n, ncols = amb.nrows, amb.ncols
+    f = amb.field
+    stride = n * f.k
     acc = make_accumulator(prime_field(space), map_coord_width(space))
     goal = _goal(acc, target)
     if goal == 0:
         return None
     basis_keys = _gf2_basis_keys(space)
+    patterns = _gf2_left_kernel if f.k == 1 else partial(_char2_patterns, f)
     add = acc.add
     key = comb = 0
     for step in range(1, 1 << len(basis_keys)):
         j = (step & -step).bit_length() - 1
         key ^= basis_keys[j]
-        comb ^= 1 << (j * n)
-        for c in _gf2_left_kernel(key, n, ncols):
+        comb ^= 1 << (j * stride)
+        for c in patterns(key, n, ncols):
             if add(c * comb) and acc.rank == goal and _cuts_out(acc, target):
                 return None
     return _solution_space(space, acc)
@@ -475,19 +531,15 @@ def _rc_gray_gf2(
 def _rc_element_walk(
     space: OperatorSpace, target: MapGenerators | None = None
 ) -> MapSpace | None:
-    """The generic solve: decode every element, take the canonical basis of
-    its left kernel and fold the resulting constraint rows.
-
-    Characteristic 2 folds packed rows into the F_2 accumulator; odd
-    characteristic folds `_constraint_rows_for` rows.  No element cap here:
-    callers check it.
+    """The reference solve for every field: decode every element, take the
+    canonical basis of its left kernel and fold the `_constraint_rows_for`
+    rows, packed in characteristic 2 for the F_2 accumulator.  No element
+    cap here: callers check it.
     """
     f = space.ambient.field
-    k = f.k
     n, ncols = space.ambient.nrows, space.ambient.ncols
-    stride = n * k
+    stride = n * f.k
     amb = space.ambient
-    lams = f.power_basis
     acc = make_accumulator(prime_field(space), map_coord_width(space))
     goal = _goal(acc, target)
     if goal == 0:
@@ -498,33 +550,13 @@ def _rc_element_walk(
             continue
         mat = decode(amb, coords)
         for a in left_kernel_rows(f, mat.entries, n, ncols):
-            if packed:
-                # pattern_w packs digit_w(a_i * x^u) over (i, u); shifting by
-                # j*stride places it under basis slot j
-                patterns = [0] * k
-                for i in range(n):
-                    ai = a[i]
-                    if not ai:
-                        continue
-                    for u in range(k):
-                        digs = f.prime_coords(f.mul(ai, lams[u]))
-                        for w in range(k):
-                            if digs[w]:
-                                patterns[w] |= 1 << (i * k + u)
-                for w in range(k):
-                    row = 0
-                    pat = patterns[w]
-                    if not pat:
-                        continue
-                    for j, c in enumerate(coeffs):
-                        if c:
-                            row |= pat << (j * stride)
-                    if acc.add(row) and acc.rank == goal and _cuts_out(acc, target):
-                        return None
-            else:
-                for row in _constraint_rows_for(space, coeffs, a, stride):
-                    if any(row) and acc.add(row) and acc.rank == goal and _cuts_out(acc, target):
-                        return None
+            for row in _constraint_rows_for(space, coeffs, a, stride):
+                if not any(row):
+                    continue
+                if packed:
+                    row = sum(1 << t for t, x in enumerate(row) if x)
+                if acc.add(row) and acc.rank == goal and _cuts_out(acc, target):
+                    return None
     return _solution_space(space, acc)
 
 

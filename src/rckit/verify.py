@@ -221,6 +221,33 @@ def _local_class_case(cap: int, space: OperatorSpace) -> list[dict]:
 # main classification suites
 
 
+def _run_class_suite(
+    suite: str,
+    amb: Ambient,
+    case,
+    codim: int | None,
+    cap: int | None,
+    jobs: int,
+    admissible=None,
+) -> VerificationReport:
+    """The shared body of the class suites: every subspace of amb with
+    codimension <= codim (default and bound n-2) that passes admissible is
+    one case of case(cap, space)."""
+    n = amb.n
+    if codim is None:
+        codim = n - 2
+    if not 0 <= codim <= n - 2:
+        raise BadParams(f"codimension bound {codim} outside the admissible range 0..{n - 2}")
+    cap = element_cap(cap)
+    t0 = time.perf_counter()
+    cases = enumerate_subspaces_up_to(amb, codim, cap=cap)
+    if admissible is not None:
+        cases = filter(admissible, cases)
+    per_case = _map_cases(partial(case, cap), list(cases), jobs)
+    spec = SuiteSpec(suite, field=amb.field.label, n=n, m=amb.m, codim=codim, cap=cap)
+    return _finish(spec, per_case, t0)
+
+
 def run_sym_main(
     field: FieldSpec,
     n: int,
@@ -233,17 +260,8 @@ def run_sym_main(
     range-compatible maps standard.  The bound must stay within 0..n-2."""
     if n < 2:
         raise BadParams("the symmetric classification needs n >= 2")
-    if codim is None:
-        codim = n - 2
-    if not 0 <= codim <= n - 2:
-        raise BadParams(f"codimension bound {codim} outside the admissible range 0..{n - 2}")
-    cap = element_cap(cap)
-    t0 = time.perf_counter()
     amb = Ambient(field, KIND_SYM, n, m)
-    cases = list(enumerate_subspaces_up_to(amb, codim, cap=cap))
-    per_case = _map_cases(partial(_standard_class_case, cap), cases, jobs)
-    spec = SuiteSpec("sym-main", field=field.label, n=n, m=m, codim=codim, cap=cap)
-    return _finish(spec, per_case, t0)
+    return _run_class_suite("sym-main", amb, _standard_class_case, codim, cap, jobs)
 
 
 def run_alt_main(
@@ -263,21 +281,16 @@ def run_alt_main(
     """
     if n < 3:
         raise BadParams("the alternating classification needs n >= 3")
-    if codim is None:
-        codim = n - 2
-    if not 0 <= codim <= n - 2:
-        raise BadParams(f"codimension bound {codim} outside the admissible range 0..{n - 2}")
-    cap = element_cap(cap)
-    t0 = time.perf_counter()
     amb = Ambient(field, KIND_ALT, n, m)
-    cases = [
-        s
-        for s in enumerate_subspaces_up_to(amb, codim, cap=cap)
-        if restricted_part(s).codim <= n - 3
-    ]
-    per_case = _map_cases(partial(_local_class_case, cap), cases, jobs)
-    spec = SuiteSpec("alt-main", field=field.label, n=n, m=m, codim=codim, cap=cap)
-    return _finish(spec, per_case, t0)
+    return _run_class_suite(
+        "alt-main",
+        amb,
+        _local_class_case,
+        codim,
+        cap,
+        jobs,
+        admissible=lambda s: restricted_part(s).codim <= n - 3,
+    )
 
 
 def run_rect_group(
@@ -292,17 +305,8 @@ def run_rect_group(
     (bounded by n-2) has range-compatible == local."""
     if n < 2 or m < 1:
         raise BadParams("rectangle suite needs n >= 2 rows and m >= 1 columns")
-    if codim is None:
-        codim = n - 2
-    if not 0 <= codim <= n - 2:
-        raise BadParams(f"codimension bound {codim} outside the admissible range 0..{n - 2}")
-    cap = element_cap(cap)
-    t0 = time.perf_counter()
     amb = Ambient(field, KIND_FULL, n, m)
-    cases = list(enumerate_subspaces_up_to(amb, codim, cap=cap))
-    per_case = _map_cases(partial(_local_class_case, cap), cases, jobs)
-    spec = SuiteSpec("rect-group", field=field.label, n=n, m=m, codim=codim, cap=cap)
-    return _finish(spec, per_case, t0)
+    return _run_class_suite("rect-group", amb, _local_class_case, codim, cap, jobs)
 
 
 def run_full_sym_class(field: FieldSpec, n: int, cap: int | None = None) -> VerificationReport:

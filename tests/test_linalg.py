@@ -327,8 +327,8 @@ def test_sum_and_intersection_dimension_formula():
             a, b = mk(), mk()
             s, i = sum_spaces(a, b), intersect_spaces(a, b)
             assert s.dim + i.dim == a.dim + b.dim
-            assert s.contains_space(a) and s.contains_space(b)
-            assert a.contains_space(i) and b.contains_space(i)
+            assert all(s.member(v) for v in a.vectors + b.vectors)
+            assert all(a.member(v) and b.member(v) for v in i.vectors)
 
 
 def test_gaussian_binomial_values():

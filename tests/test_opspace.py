@@ -30,13 +30,10 @@ from rckit.opspace import (
     build_u2_block,
     count_subspaces,
     decode,
-    direct_sum,
     encode,
     enumerate_subspaces,
     enumerate_subspaces_up_to,
     full_space,
-    mf_membership,
-    modulo_part,
     quotient_space,
     restricted_part,
     side_by_side,
@@ -186,15 +183,6 @@ def test_alt_2n6_membership():
     assert not s.contains(matrix_from_rows(F2, skew))
 
 
-def test_direct_sum_matches_sym_block_builder():
-    for f in (F2, F3, F4):
-        a = build_full_sym(f, 1)
-        b = build_full_sym(f, 2)
-        assert direct_sum(a, b) == build_sym_block(f, 3)
-    with pytest.raises(AmbientMismatch):
-        direct_sum(build_full_sym(F2, 2), build_full_alt(F2, 2))
-
-
 def test_side_by_side():
     a = build_full_sym(F3, 2)
     b = build_full_rect(F3, 2, 1)
@@ -212,17 +200,20 @@ def test_side_by_side():
 
 def test_restricted_and_modulo_parts():
     s = build_full_sym(F3, 2, 1)
-    r = restricted_part(s)
-    m = modulo_part(s)
-    assert r == build_full_sym(F3, 2)
-    assert m == build_full_rect(F3, 2, 1)
+    assert restricted_part(s) == build_full_sym(F3, 2)
     rng = random.Random(9)
     for f in (F2, F3):
         amb = Ambient(f, "alt", 3, 2)
+        block = Ambient(f, "alt", 3, 0).dim
         for _ in range(25):
             vecs = [random_coords(rng, amb) for _ in range(rng.randrange(0, 7))]
             s = space_from_coords(amb, vecs)
-            assert restricted_part(s).dim + modulo_part(s).dim == s.dim
+            # the matrices with a zero tail are the kernel of the projection
+            # onto the tail coordinates
+            tails = SubspaceBasis.from_vectors(
+                f, amb.dim - block, [v[block:] for v in s.basis.vectors]
+            )
+            assert restricted_part(s).dim + tails.dim == s.dim
 
 
 def test_quotient_space_of_full_sym():
@@ -270,6 +261,21 @@ def test_quotient_kernel_dimension_identity():
                 if not any(p.matmul(decode(amb, v)).entries):
                     killed += 1
             assert f.q ** (s.dim - q.dim) == killed
+
+
+def mf_membership(f, r: int, coeffs, mat) -> bool:
+    """Direct membership test for build_mf spaces: the trace of the top
+    r x r part of the tail against the coefficient traces."""
+    amb = Ambient(f, "alt", 3, r)
+    v = encode(amb, mat)
+    lhs = 0
+    for t in range(r):
+        lhs = f.add(lhs, mat.entry(t, 3 + t))
+    rhs = 0
+    for w in range(3):
+        for u in range(r):
+            rhs = f.add(rhs, f.mul(v[w], coeffs[w * r * r + u * r + u]))
+    return lhs == rhs
 
 
 def test_mf_builder():

@@ -71,6 +71,8 @@ from rckit.rcmaps import (
     standard_generators,
     standard_space,
     MapGenerators,
+    _char2_patterns,
+    _constraint_rows_for,
     _gf2_basis_keys,
     _gf2_left_kernel,
     _naive_rc_maps_generic,
@@ -217,21 +219,26 @@ def test_rc_solver_matches_oracle_on_random_subspaces():
 
 
 @st.composite
-def f2_spaces(draw):
-    """A random subspace of a small sym, alt or full ambient over F_2, with
-    or without a tail; no generators gives the zero space."""
+def char2_spaces(draw, field):
+    """A random subspace of a small sym, alt or full ambient over a field of
+    characteristic 2, with or without a tail; no generators gives the zero
+    space.  At most 2^12 elements: dimension <= 6 over F_2 and F_4, <= 4
+    over F_8."""
     kind = draw(st.sampled_from([KIND_SYM, KIND_ALT, KIND_FULL]))
     n = draw(st.integers(1, 4))
     m = draw(st.integers(0, 2))
-    amb = Ambient(F2, kind, n, m)
-    vec = st.tuples(*[st.integers(0, 1)] * amb.dim)
-    return space_from_coords(amb, draw(st.lists(vec, max_size=6)))
+    amb = Ambient(field, kind, n, m)
+    vec = st.tuples(*[st.integers(0, field.q - 1)] * amb.dim)
+    return space_from_coords(amb, draw(st.lists(vec, max_size=4 if field.q == 8 else 6)))
 
 
-@settings(max_examples=80, deadline=None, derandomize=True)
-@given(f2_spaces())
+# 170 examples keep about as many F_2 spaces (85) as the F_2-only test had
+@settings(max_examples=170, deadline=None, derandomize=True)
+@given(st.sampled_from([F2, F4, F8]).flatmap(char2_spaces))
 @example(space_from_coords(Ambient(F2, KIND_SYM, 2, 1), []))
 @example(full_space(Ambient(F2, KIND_ALT, 3, 1)))
+@example(full_space(Ambient(F4, KIND_SYM, 2, 1)))
+@example(full_space(Ambient(F8, KIND_FULL, 2, 2)))
 def test_gf2_packed_solver_matches_element_walk(space):
     full = _rc_element_walk(space)
     assert rc_solution_space(space) == full
@@ -327,30 +334,35 @@ def test_certified_stop_rejects_a_target_on_another_domain():
 
 
 def _decoded_key(amb, vec):
-    return sum(1 << t for t, x in enumerate(decode(amb, vec).entries) if x)
+    """The key of a matrix from its entries: k bits per entry, entry (i, c)
+    at bit (i*ncols + c)*k."""
+    k = amb.field.k
+    return sum(x << (t * k) for t, x in enumerate(decode(amb, vec).entries))
 
 
 @pytest.mark.parametrize("kind", [KIND_SYM, KIND_ALT, KIND_FULL])
 def test_gf2_basis_keys_match_decoded_keys(kind):
     rng = random.Random(53)
-    for n in range(1, 5):
-        for m in range(3):
-            amb = Ambient(F2, kind, n, m)
-            # the full space's basis is every unit vector
-            spaces = [full_space(amb)]
-            spaces += [
-                space_from_coords(
-                    amb,
-                    [
-                        tuple(rng.randrange(2) for _ in range(amb.dim))
-                        for _ in range(rng.randrange(1, 4))
-                    ],
-                )
-                for _ in range(10)
-            ]
-            for s in spaces:
-                want = tuple(_decoded_key(amb, v) for v in s.basis.vectors)
-                assert _gf2_basis_keys(s) == want, (kind, n, m, s.basis.vectors)
+    for field in (F2, F4, F8):
+        for n in range(1, 5):
+            for m in range(3):
+                amb = Ambient(field, kind, n, m)
+                # the full space's basis is every unit vector
+                spaces = [full_space(amb)]
+                spaces += [
+                    space_from_coords(
+                        amb,
+                        [
+                            tuple(rng.randrange(field.q) for _ in range(amb.dim))
+                            for _ in range(rng.randrange(1, 4))
+                        ],
+                    )
+                    for _ in range(10)
+                ]
+                for s in spaces:
+                    # one key per prime basis matrix x^t b_i
+                    want = tuple(_decoded_key(amb, v) for v in prime_basis_vectors(s))
+                    assert _gf2_basis_keys(s) == want, (field, kind, n, m, s.basis.vectors)
 
 
 def _generator_oracle(space, standard):
@@ -403,15 +415,40 @@ def _same_left_kernel(key, n, ncols):
     return SubspaceBasis.from_vectors(F2, n, memo) == SubspaceBasis.from_vectors(F2, n, want)
 
 
+def _same_patterns(field, key):
+    """The memoized patterns of the 2 x 2 matrix over field with key against
+    the `_constraint_rows_for` rows of prime basis matrix 0, which sit in
+    the first stride = n*k map coordinates."""
+    k = field.k
+    space = full_space(Ambient(field, KIND_FULL, 2, 2))
+    width = map_coord_width(space)
+    coeffs = (1,) + (0,) * (space.dim * k - 1)
+    entries = tuple((key >> (t * k)) & (field.q - 1) for t in range(4))
+    want = [
+        row
+        for a in left_kernel_rows(field, entries, 2, 2)
+        for row in _constraint_rows_for(space, coeffs, a, 2 * k)
+    ]
+    memo = [
+        tuple((c >> t) & 1 for t in range(width)) for c in _char2_patterns(field, key, 2, 2)
+    ]
+    return SubspaceBasis.from_vectors(F2, width, memo) == SubspaceBasis.from_vectors(
+        F2, width, want
+    )
+
+
 def test_memoized_gf2_left_kernel_matches_left_kernel_rows():
-    # interleave shapes so a cache that ignored (n, ncols) would answer one
-    # shape with another's kernel
+    # interleave shapes and fields so a cache that ignored (n, ncols) or
+    # the field would answer one with another's kernel
     for key in range(1 << 9):
         for n, ncols in ((3, 3), (1, 9), (9, 1)):
             assert _same_left_kernel(key, n, ncols), (key, n, ncols)
         if key < 1 << 6:
             for n, ncols in ((2, 3), (3, 2)):
                 assert _same_left_kernel(key, n, ncols), (key, n, ncols)
+        if key < 1 << 8:  # all 256 2 x 2 matrices over F_4
+            assert _same_patterns(F4, key), key
+            assert _same_patterns(F8, key), key
     s = build_full_sym(F2, 4)
     for _, coords in iter_space_elements(s):
         key = sum(1 << t for t, x in enumerate(decode(s.ambient, coords).entries) if x)
@@ -433,8 +470,8 @@ def test_local_and_standard_are_range_compatible():
     for f, n in [(F2, 2), (F2, 3), (F3, 2), (F3, 3), (F4, 2)]:
         s = build_full_sym(f, n)
         rc = rc_solution_space(s)
-        assert rc.basis.contains_space(local_space(s).basis)
-        assert rc.basis.contains_space(standard_space(s).basis)
+        assert all(rc.basis.member(v) for v in local_space(s).basis.vectors)
+        assert all(rc.basis.member(v) for v in standard_space(s).basis.vectors)
 
 
 def test_is_range_compatible_spot_checks():

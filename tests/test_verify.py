@@ -3,6 +3,7 @@ honest failure payloads (checked against a known non-standard map)."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 import subprocess
@@ -100,6 +101,37 @@ def test_rect_group_suite():
         V.run_rect_group(F2, 3, 0)
     with pytest.raises(BadParams):
         V.run_rect_group(F2, 3, 2, codim=2)
+
+
+def _canonical_sha256(report) -> str:
+    """SHA-256 of a report's JSON with sorted keys and without wallTime."""
+    obj = report.to_json()
+    del obj["wallTime"]
+    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "run, cases, digest",
+    [
+        (
+            lambda: V.run_sym_main(F4, 3),
+            1366,
+            "298fac862e92e6d9c02af3916cae278ca6b2353d7829451e73c0d4d31ae29c32",
+        ),
+        (
+            lambda: V.run_rect_group(F4, 3, 1, codim=1),
+            22,
+            "a4e07569a93dca8a199f67f28b2c207d16f9c208a44f7ff2756d312c2cf932b4",
+        ),
+    ],
+    ids=["sym3-f4", "rect3x1-f4"],
+)
+def test_gf4_class_suite_reports_are_pinned(run, cases, digest):
+    # the digests are those of the element walk's reports, which the Gray
+    # walk must reproduce byte for byte (apart from wallTime)
+    rep = run()
+    assert rep.verified and rep.cases_run == cases
+    assert _canonical_sha256(rep) == digest
 
 
 def test_full_class_suites():
