@@ -294,15 +294,6 @@ class Matrix:
                 ent.append(acc)
         return Matrix(self.field, self.rows, other.cols, tuple(ent))
 
-    def add_matrix(self, other: "Matrix") -> "Matrix":
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ShapeMismatch("matrix shapes differ")
-        f = self.field
-        return Matrix(
-            self.field, self.rows, self.cols,
-            tuple(f.add(a, b) for a, b in zip(self.entries, other.entries)),
-        )
-
 
 def matrix_from_rows(field: FieldSpec, rows) -> Matrix:
     rows = [tuple(r) for r in rows]
@@ -316,16 +307,6 @@ def matrix_from_rows(field: FieldSpec, rows) -> Matrix:
 
 def zero_matrix(field: FieldSpec, rows: int, cols: int) -> Matrix:
     return Matrix(field, rows, cols, (0,) * (rows * cols))
-
-
-def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
-    """Reduced row echelon form (zero rows dropped) and pivot columns."""
-    rows, pivots = echelonize(m.field, [m.row_tuple(i) for i in range(m.rows)], m.cols)
-    return matrix_from_rows(m.field, rows) if rows else zero_matrix(m.field, 0, m.cols), tuple(pivots)
-
-
-def rank(m: Matrix) -> int:
-    return rref(m)[0].rows
 
 
 def kernel_basis(m: Matrix) -> SubspaceBasis:

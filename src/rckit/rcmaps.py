@@ -1044,8 +1044,8 @@ def map_to_json(f_map: AdditiveMap) -> dict:
     }
 
 
-def map_from_json(obj: dict, space: OperatorSpace | None = None, max_order: int = 16) -> AdditiveMap:
+def map_from_json(obj: dict, space: OperatorSpace | None = None) -> AdditiveMap:
     if space is None:
-        space = space_from_json(obj["space"], max_order=max_order)
+        space = space_from_json(obj["space"])
     values = tuple(tuple(int(x) for x in v) for v in obj["values"])
     return AdditiveMap(space, values)

@@ -14,14 +14,14 @@ import os
 import random
 import time
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
 from itertools import product
 from multiprocessing import get_context
 
 from . import __version__
 from .errors import BadParams, EnumerationCapExceeded, IllDefined
 from .field import FieldSpec, parse_field_label
-from .linalg import Matrix, SubspaceBasis, kernel_basis, matrix_from_rows, rank
+from .linalg import Matrix, SubspaceBasis, kernel_basis, matrix_from_rows
 from .opspace import (
     Ambient,
     KIND_ALT,
@@ -37,6 +37,7 @@ from .opspace import (
     build_sym_block,
     build_t3,
     build_u2_block,
+    congruent,
     count_subspaces,
     decode,
     dual_rref_rows,
@@ -572,54 +573,39 @@ def run_rank1_gaps(
 # good functionals lemma
 
 
-@lru_cache(maxsize=None)
-def _invertible_matrices(field: FieldSpec, n: int) -> tuple[Matrix, ...]:
-    out = []
-    for entries in product(range(field.q), repeat=n * n):
-        m = Matrix(field, n, n, entries)
-        if rank(m) == n:
-            out.append(m)
-    return tuple(out)
-
-
 def _t3_orbit(field: FieldSpec, m: int) -> frozenset[SubspaceBasis]:
     """Canonical bases of every space congruent to the t3 block with a free
-    tail: [A | R] -> [Q^T A Q | Q^T (A U + R)] over invertible Q and any U."""
+    tail, over GF(2): the closure of that space under the congruences
+    [A | R] -> [Q^T A Q | Q^T R] for Q = I + E_01 and the 3-cycle.
+
+    Every move is a congruence, so the closure never leaves the true orbit
+    and a pass in good-functionals stays sound.  It is also the whole orbit:
+    conjugating I + E_01 by the 3-cycle gives I + E_12 and I + E_20, their
+    commutators give the other three elementary transvections, and these
+    generate SL_3(F_2) = GL_3(F_2); in a finite group the inverses are
+    powers, so closing under the two generators alone suffices.  The tail
+    shears [A | R] -> [A | A U + R] are not needed: the tail is free, so
+    every shear fixes the space.  Over a larger field the transvections
+    generate only SL_3, so only GF(2) is accepted."""
+    if field.q != 2:
+        raise BadParams("the t3 orbit is built over GF(2) only")
     base = build_t3(field)
     if m:
         base = side_by_side(base, full_space(Ambient(field, KIND_FULL, 3, m)))
-    amb = base.ambient
-    n = 3
-    mats = base.basis_matrices()
-    out = set()
-    for q in _invertible_matrices(field, n):
-        qt = q.transpose()
-        for u_entries in product(range(field.q), repeat=n * m):
-            u = Matrix(field, n, m, tuple(u_entries))
-            vecs = []
-            for bm in mats:
-                a = Matrix(
-                    field, n, n, tuple(bm.entry(i, j) for i in range(n) for j in range(n))
-                )
-                a2 = qt.matmul(a).matmul(q)
-                if m:
-                    r = Matrix(
-                        field,
-                        n,
-                        m,
-                        tuple(bm.entry(i, n + j) for i in range(n) for j in range(m)),
-                    )
-                    r2 = qt.matmul(a.matmul(u).add_matrix(r))
-                    entries = tuple(
-                        a2.entry(i, j) if j < n else r2.entry(i, j - n)
-                        for i in range(n)
-                        for j in range(n + m)
-                    )
-                else:
-                    entries = a2.entries
-                vecs.append(encode(amb, Matrix(field, n, n + m, entries)))
-            out.add(SubspaceBasis.from_vectors(field, amb.dim, vecs))
-    return frozenset(out)
+    gens = (
+        matrix_from_rows(field, [[1, 1, 0], [0, 1, 0], [0, 0, 1]]),
+        matrix_from_rows(field, [[0, 1, 0], [0, 0, 1], [1, 0, 0]]),
+    )
+    seen = {base.basis}
+    todo = [base]
+    while todo:
+        s = todo.pop()
+        for q in gens:
+            image = congruent(s, q)
+            if image.basis not in seen:
+                seen.add(image.basis)
+                todo.append(image)
+    return frozenset(seen)
 
 
 def _good_lines(space: OperatorSpace) -> tuple[int, int]:

@@ -26,8 +26,6 @@ from rckit.linalg import (
     left_kernel_rows,
     make_accumulator,
     matrix_from_rows,
-    rank,
-    rref,
     solve,
     sum_spaces,
     zero_matrix,
@@ -43,6 +41,16 @@ F4 = make_field(2, 2)
 
 def identity_matrix(field, n):
     return matrix_from_rows(field, [[int(i == j) for j in range(n)] for i in range(n)])
+
+
+def rref(m):
+    """Reduced row echelon form (zero rows dropped) and pivot columns."""
+    rows, pivots = echelonize(m.field, [m.row_tuple(i) for i in range(m.rows)], m.cols)
+    return (matrix_from_rows(m.field, rows) if rows else zero_matrix(m.field, 0, m.cols)), tuple(pivots)
+
+
+def rank(m):
+    return rref(m)[0].rows
 
 
 def subspace_count_up_to(n, c, q):

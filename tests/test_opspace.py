@@ -12,9 +12,10 @@ from rckit.errors import (
     BadParams,
     EnumerationCapExceeded,
     MatrixNotInAmbient,
+    ShapeMismatch,
 )
 from rckit.field import make_field
-from rckit.linalg import SubspaceBasis, kernel_basis, matrix_from_rows, rank
+from rckit.linalg import SubspaceBasis, kernel_basis, matrix_from_rows
 from rckit.opspace import (
     Ambient,
     build_alt_2n5,
@@ -28,6 +29,7 @@ from rckit.opspace import (
     build_sym_block,
     build_t3,
     build_u2_block,
+    congruent,
     count_subspaces,
     decode,
     encode,
@@ -42,6 +44,8 @@ from rckit.opspace import (
     space_from_matrices,
     space_to_json,
 )
+
+from test_linalg import identity_matrix, rank
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -196,6 +200,32 @@ def test_side_by_side():
         side_by_side(a, build_full_rect(F3, 3, 1))
     with pytest.raises(AmbientMismatch):
         side_by_side(a, build_full_sym(F3, 2))
+
+
+def test_congruent_transforms():
+    # swapping e_0 and e_2 moves t3's vanishing (1,2) entry to (0,1)
+    swap = matrix_from_rows(F3, [(0, 0, 1), (0, 1, 0), (1, 0, 0)])
+    moved = congruent(build_t3(F3), swap)
+    assert moved.dim == 5
+    assert all(m.entry(0, 1) == 0 for m in moved.basis_matrices())
+    # identity fixes a space, and two moves compose as the product
+    rng = random.Random(3)
+    for amb in (Ambient(F2, "sym", 3, 1), Ambient(F3, "sym", 2, 2), Ambient(F4, "alt", 3, 1)):
+        f, n = amb.field, amb.n
+        for _ in range(10):
+            s = space_from_coords(amb, [random_coords(rng, amb) for _ in range(3)])
+            p, q = (
+                matrix_from_rows(f, [[rng.randrange(f.q) for _ in range(n)] for _ in range(n)])
+                for _ in range(2)
+            )
+            assert congruent(s, identity_matrix(f, n)) == s
+            assert congruent(congruent(s, p), q) == congruent(s, p.matmul(q))
+            if rank(p) == n:
+                assert congruent(s, p).dim == s.dim
+    with pytest.raises(AmbientMismatch):
+        congruent(build_full_rect(F3, 3, 1), swap)
+    with pytest.raises(ShapeMismatch):
+        congruent(build_full_sym(F3, 2), swap)
 
 
 def test_restricted_and_modulo_parts():

@@ -267,10 +267,10 @@ def test_gf2_packed_solver_matches_element_walk_on_sym3_codim1():
     ],
     ids=["sym3-f2", "sym3-f3", "alt4-f2", "sym2-f4"],
 )
-def test_certified_stop_matches_full_walk(amb, codim, target_of):
+def test_certified_stop_matches_full_walk(amb, codim, target_of, full_walk):
     for s in enumerate_subspaces_up_to(amb, codim):
         target = target_of(s)
-        full = rc_solution_space(s)
+        full = full_walk(s)
         # when RC is the span of the target the walk must stop early,
         # returning None; otherwise it returns the exact RC
         want = None if full == target.span() else full

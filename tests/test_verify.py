@@ -8,12 +8,13 @@ import json
 import random
 import subprocess
 import sys
+from itertools import product
 
 import pytest
 
 from rckit.errors import BadParams
 from rckit.field import make_field
-from rckit.linalg import Matrix, gaussian_binomial, kernel_basis, matrix_from_rows
+from rckit.linalg import Matrix, SubspaceBasis, gaussian_binomial, kernel_basis, matrix_from_rows
 from rckit.opspace import (
     Ambient,
     KIND_ALT,
@@ -21,9 +22,12 @@ from rckit.opspace import (
     KIND_SYM,
     build_full_sym,
     build_sym_block,
+    build_t3,
     dual_rref_rows,
     encode,
     enumerate_subspaces_up_to,
+    full_space,
+    side_by_side,
     space_from_json,
 )
 from rckit.rcmaps import (
@@ -31,10 +35,11 @@ from rckit.rcmaps import (
     is_standard,
     local_space,
     map_from_coords,
-    rc_solution_space,
     standard_space,
 )
 from rckit import verify as V
+
+from test_linalg import rank
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -157,6 +162,10 @@ def test_determinism_across_worker_counts():
     s1 = V.run_splitting_property(trials=12, seed=9, jobs=1)
     s2 = V.run_splitting_property(trials=12, seed=9, jobs=4)
     assert strip_time(s1) == strip_time(s2)
+    # the t3 orbits reach the pool workers through partial
+    g1 = V.run_good_functionals(F2, jobs=1)
+    g2 = V.run_good_functionals(F2, jobs=2)
+    assert strip_time(g1) == strip_time(g2)
 
 
 def test_pool_size_clamps_to_cpus_and_cases(monkeypatch):
@@ -196,10 +205,10 @@ def test_failure_payload_replays():
     assert not is_standard(f_map)
 
 
-def _reference_class_case(space, standard):
+def _reference_class_case(space, standard, full_walk):
     """A class case's failures from the full walk, with no target, and the
     canonical standard or local space built eagerly."""
-    rc = rc_solution_space(space)
+    rc = full_walk(space)
     if standard:
         std = standard_space(space)
         return [
@@ -235,12 +244,12 @@ def _reference_class_case(space, standard):
     ],
     ids=["sym3-f2", "sym4-f2", "sym3-f3", "alt4-f2", "alt5-f2", "rect3x2-f2", "sym3-f2-local"],
 )
-def test_class_cases_match_full_walk_reference(amb, standard):
+def test_class_cases_match_full_walk_reference(amb, standard, full_walk):
     case = V._standard_class_case if standard else V._local_class_case
     failing = 0
     for s in enumerate_subspaces_up_to(amb, 1):
         got = case(1 << 20, s)
-        assert got == _reference_class_case(s, standard)
+        assert got == _reference_class_case(s, standard, full_walk)
         failing += bool(got)
     if not standard and amb.kind == KIND_SYM:
         assert failing == 64
@@ -350,6 +359,40 @@ def test_good_line_counts_match_t3_orbit():
             two_good.add(s.basis)
     assert two_good == set(orbit)
     assert len(orbit) == 21
+
+
+def _brute_t3_orbit(field, m):
+    """Every [Q^T A Q | Q^T (A U + R)] over invertible Q and any U, from the
+    t3 block with free tail: |GL_3(q)| * q^(3m) images, with
+    [A | R] [[Q, U], [0, I_m]] = [A Q | A U + R]."""
+    base = build_t3(field)
+    if m:
+        base = side_by_side(base, full_space(Ambient(field, KIND_FULL, 3, m)))
+    mats = base.basis_matrices()
+    out = set()
+    for entries in product(range(field.q), repeat=9):
+        q = Matrix(field, 3, 3, entries)
+        if rank(q) < 3:
+            continue
+        qt = q.transpose()
+        for u in product(range(field.q), repeat=3 * m):
+            right = matrix_from_rows(
+                field,
+                [list(q.row_tuple(i)) + list(u[i * m : (i + 1) * m]) for i in range(3)]
+                + [[0] * 3 + [int(j == i) for j in range(m)] for i in range(m)],
+            )
+            vecs = [encode(base.ambient, qt.matmul(a).matmul(right)) for a in mats]
+            out.add(SubspaceBasis.from_vectors(field, base.ambient.dim, vecs))
+    return frozenset(out)
+
+
+@pytest.mark.parametrize("m", [0, 1])
+def test_t3_orbit_closure_matches_brute_force(m):
+    orbit = V._t3_orbit(F2, m)
+    assert orbit == _brute_t3_orbit(F2, m)
+    assert len(orbit) == 21
+    with pytest.raises(BadParams):
+        V._t3_orbit(F3, m)
 
 
 def test_mf_suite_exhaustive_and_sampled():
