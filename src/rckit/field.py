@@ -204,9 +204,6 @@ class FieldSpec:
             out = out * self.p + c
         return out
 
-    def elements(self) -> range:
-        return range(self.q)
-
     @property
     def label(self) -> str:
         return str(self.p) if self.k == 1 else f"{self.p}^{self.k}"
@@ -255,7 +252,7 @@ def make_field(p: int, k: int = 1, max_order: int = DEFAULT_ORDER_CAP) -> FieldS
     return _cached_field(p, k)
 
 
-def parse_field_label(label: str, max_order: int = DEFAULT_ORDER_CAP) -> FieldSpec:
+def parse_field_label(label: str) -> FieldSpec:
     """Parse a designator like "2", "3" or "2^2" into a field."""
     text = label.strip()
     if "^" in text:
@@ -263,4 +260,4 @@ def parse_field_label(label: str, max_order: int = DEFAULT_ORDER_CAP) -> FieldSp
         p, k = int(p_str), int(k_str)
     else:
         p, k = int(text), 1
-    return make_field(p, k, max_order=max_order)
+    return make_field(p, k)

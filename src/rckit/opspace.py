@@ -12,6 +12,11 @@ field K:
   to (a, b, c); then the tail column by column.
 * kind "full": arbitrary n x m matrices, row-major coordinates.
 
+layout(amb) is the one place this coordinate order and its signs live: a
+cached table of the entry slots each coordinate fills.  encode, decode and
+the coordinate-span builders read it, and so do the packed F_2 keys in
+rcmaps.
+
 An OperatorSpace is a linear subspace of an ambient held as a canonical
 (reduced row echelon) coordinate basis, so equality of spaces is equality of
 values.  Builders for the named spaces used by the verification suites and a
@@ -21,6 +26,7 @@ deterministic subspace enumerator live here too.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import lru_cache
 
 from .errors import (
     AmbientMismatch,
@@ -77,21 +83,43 @@ class Ambient:
             return n * (n - 1) // 2 + n * m
         return n * m
 
-    def block_positions(self):
-        """Coordinate order for the structured block (sym/alt kinds)."""
-        n = self.n
-        if self.kind == KIND_SYM:
-            return [(i, i) for i in range(n)] + [
-                (i, j) for i in range(n) for j in range(i + 1, n)
-            ]
-        if self.kind == KIND_ALT:
-            return [(i, j) for i in range(1, n) for j in range(i)]
-        return []
 
-    def tail_positions(self):
-        if self.kind == KIND_FULL:
-            return [(i, j) for i in range(self.n) for j in range(self.m)]
-        return [(i, j) for j in range(self.n, self.n + self.m) for i in range(self.n)]
+@lru_cache(maxsize=256)
+def layout(amb: Ambient) -> tuple[tuple[tuple[int, bool], ...], ...]:
+    """The coordinate layout of an ambient: for each coordinate, the flat
+    entry slots i*ncols + j it fills, each with whether the slot holds its
+    negative.  The first slot holds the coordinate itself.
+
+    This table is the one place that knows the coordinate order, the
+    symmetric mirror, the alternating sign rule and the column-major tail;
+    encode, decode and the packed F_2 keys all read it.
+    """
+    n, c = amb.n, amb.ncols
+    if amb.kind == KIND_FULL:
+        return tuple(((i * c + j, False),) for i in range(n) for j in range(c))
+    if amb.kind == KIND_SYM:
+        block = [((i * c + i, False),) for i in range(n)] + [
+            ((i * c + j, False), (j * c + i, False)) for i in range(n) for j in range(i + 1, n)
+        ]
+    else:
+        # pair i > j sits at (i, j) when i + j is odd and at (j, i) otherwise
+        block = []
+        for i in range(1, n):
+            for j in range(i):
+                a, b = (i, j) if (i + j) % 2 == 1 else (j, i)
+                block.append(((a * c + b, False), (b * c + a, True)))
+    tail = [((i * c + j, False),) for j in range(n, c) for i in range(n)]
+    return tuple(block + tail)
+
+
+def _entries(amb: Ambient, coords) -> tuple[int, ...]:
+    """The flat row-major entries of the matrix with these coordinates."""
+    neg = amb.field.neg_table
+    ent = [0] * (amb.nrows * amb.ncols)
+    for x, slots in zip(coords, layout(amb)):
+        for s, negated in slots:
+            ent[s] = neg[x] if negated else x
+    return tuple(ent)
 
 
 def encode(amb: Ambient, mat: Matrix):
@@ -102,51 +130,18 @@ def encode(amb: Ambient, mat: Matrix):
         raise MatrixNotInAmbient(
             f"shape {mat.rows}x{mat.cols}, ambient wants {amb.nrows}x{amb.ncols}"
         )
-    f, n = amb.field, amb.n
-    out = []
-    if amb.kind == KIND_SYM:
-        for i in range(n):
-            for j in range(i + 1, n):
-                if mat.entry(i, j) != mat.entry(j, i):
-                    raise MatrixNotInAmbient("block is not symmetric")
-        out = [mat.entry(i, j) for i, j in amb.block_positions()]
-    elif amb.kind == KIND_ALT:
-        for i in range(n):
-            if mat.entry(i, i) != 0:
-                raise MatrixNotInAmbient("alternating block has nonzero diagonal")
-            for j in range(i + 1, n):
-                if mat.entry(i, j) != f.neg(mat.entry(j, i)):
-                    raise MatrixNotInAmbient("block is not alternating")
-        for i, j in amb.block_positions():
-            v = mat.entry(i, j) if (i + j) % 2 == 1 else mat.entry(j, i)
-            out.append(v)
-    out.extend(mat.entry(i, j) for i, j in amb.tail_positions())
-    return tuple(out)
+    e = mat.entries
+    coords = tuple(e[slots[0][0]] for slots in layout(amb))
+    if _entries(amb, coords) != e:
+        raise MatrixNotInAmbient(f"matrix is not in the {amb.kind} ambient")
+    return coords
 
 
 def decode(amb: Ambient, coords) -> Matrix:
     """Inverse of encode."""
     if len(coords) != amb.dim:
         raise AmbientMismatch(f"expected {amb.dim} coordinates, got {len(coords)}")
-    f, n = amb.field, amb.n
-    ent = [[0] * amb.ncols for _ in range(amb.nrows)]
-    pos = 0
-    if amb.kind == KIND_SYM:
-        for i, j in amb.block_positions():
-            ent[i][j] = ent[j][i] = coords[pos]
-            pos += 1
-    elif amb.kind == KIND_ALT:
-        for i, j in amb.block_positions():
-            v = coords[pos]
-            pos += 1
-            if (i + j) % 2 == 1:
-                ent[i][j], ent[j][i] = v, f.neg(v)
-            else:
-                ent[j][i], ent[i][j] = v, f.neg(v)
-    for i, j in amb.tail_positions():
-        ent[i][j] = coords[pos]
-        pos += 1
-    return matrix_from_rows(f, ent) if ent else Matrix(f, 0, amb.ncols, ())
+    return Matrix(amb.field, amb.nrows, amb.ncols, _entries(amb, coords))
 
 
 @dataclass(frozen=True, slots=True)
@@ -356,64 +351,46 @@ def build_full_rect(f: FieldSpec, n: int, m: int) -> OperatorSpace:
     return full_space(Ambient(f, KIND_FULL, n, m))
 
 
-def _sym_units(f: FieldSpec, n: int, rows):
-    """Symmetric unit matrices E_ii and E_ij + E_ji supported on given rows."""
-    out = []
-    for a in rows:
-        for b in rows:
-            if b < a:
-                continue
-            ent = [[0] * n for _ in range(n)]
-            ent[a][b] = ent[b][a] = 1
-            out.append(matrix_from_rows(f, ent))
-    return out
+def _unit_span(amb: Ambient, keep) -> OperatorSpace:
+    """The span of the coordinate unit vectors whose entries all sit at
+    positions (i, j) where keep(i, j) holds (0-indexed)."""
+    c = amb.ncols
+    units = SubspaceBasis.full(amb.field, amb.dim).vectors
+    kept = [
+        u for u, slots in zip(units, layout(amb)) if all(keep(*divmod(s, c)) for s, _ in slots)
+    ]
+    return space_from_coords(amb, kept)
 
 
 def build_t3(f: FieldSpec) -> OperatorSpace:
     """Symmetric 3x3 matrices with vanishing (2,3) entry."""
-    amb = Ambient(f, KIND_SYM, 3, 0)
-    mats = []
-    for a, b in [(0, 0), (1, 1), (2, 2), (0, 1), (0, 2)]:
-        ent = [[0] * 3 for _ in range(3)]
-        ent[a][b] = ent[b][a] = 1
-        mats.append(matrix_from_rows(f, ent))
-    return space_from_matrices(amb, mats)
+    return _unit_span(Ambient(f, KIND_SYM, 3, 0), lambda i, j: {i, j} != {1, 2})
 
 
 def build_sym_block(f: FieldSpec, n: int) -> OperatorSpace:
-    """Block diagonal sum of 1x1 symmetric matrices and full Mats_{n-1}."""
+    """Block diagonal sum of 1x1 symmetric matrices and full Mats_{n-1}:
+    symmetric matrices whose first row vanishes off the diagonal."""
     if n < 2:
         raise BadParams("sym-block needs n >= 2")
-    amb = Ambient(f, KIND_SYM, n, 0)
-    mats = _sym_units(f, n, [0]) + _sym_units(f, n, range(1, n))
-    return space_from_matrices(amb, mats)
+    return _unit_span(Ambient(f, KIND_SYM, n, 0), lambda i, j: (i == 0) == (j == 0))
 
 
 def build_u2_block(f: FieldSpec, n: int) -> OperatorSpace:
-    """Top-left block {[a b; b 0]} summed with full Mats_{n-2}."""
+    """Top-left block {[a b; b 0]} summed with full Mats_{n-2}: symmetric
+    matrices with vanishing (2,2) entry and vanishing entries (i, j) for
+    i <= 2 < j (1-indexed)."""
     if n < 2:
         raise BadParams("u2 needs n >= 2")
-    amb = Ambient(f, KIND_SYM, n, 0)
-    mats = []
-    for a, b in [(0, 0), (0, 1)]:
-        ent = [[0] * n for _ in range(n)]
-        ent[a][b] = ent[b][a] = 1
-        mats.append(matrix_from_rows(f, ent))
-    mats += _sym_units(f, n, range(2, n))
-    return space_from_matrices(amb, mats)
+    return _unit_span(
+        Ambient(f, KIND_SYM, n, 0), lambda i, j: (i < 2) == (j < 2) and (i, j) != (1, 1)
+    )
 
 
 def build_alt_col1(f: FieldSpec, n: int) -> OperatorSpace:
     """Alternating matrices whose first column vanishes below row 2."""
     if n < 3:
         raise BadParams("alt-col1 needs n >= 3")
-    amb = Ambient(f, KIND_ALT, n, 0)
-    keep = []
-    for t, (i, j) in enumerate(amb.block_positions()):
-        if j == 0 and i >= 2:
-            continue
-        keep.append(tuple(1 if s == t else 0 for s in range(amb.dim)))
-    return space_from_coords(amb, keep)
+    return _unit_span(Ambient(f, KIND_ALT, n, 0), lambda i, j: not (j == 0 and i >= 2))
 
 
 def _alt_unit(f: FieldSpec, n: int, i: int, j: int) -> Matrix:
@@ -494,28 +471,18 @@ def build_mf(f: FieldSpec, r: int, coeffs) -> OperatorSpace:
         for u in range(r):
             t = f.add(t, coeffs[w * r * r + u * r + u])
         traces.append(t)
-    dim = amb.dim
-    gens = []
-    for w in range(3):
-        v = [0] * dim
-        v[w] = 1
-        # tail coordinates are column-major after the 3 block coordinates;
-        # tail position (0,0) is coordinate 3
-        v[3] = traces[w]
-        gens.append(tuple(v))
-    block = 3
-    for j in range(r):  # column-major tail positions (i, j)
-        for i in range(3):
-            if i == j:
-                continue
-            v = [0] * dim
-            v[block + j * 3 + i] = 1
-            gens.append(tuple(v))
-    for t in range(1, r):
-        v = [0] * dim
-        v[block + t * 3 + t] = 1
-        v[block + 0] = f.neg(1)
-        gens.append(tuple(v))
+    # the coordinate of tail entry (i, j), at matrix position (i, 3 + j)
+    tail = {divmod(slots[0][0] - 3, 3 + r): t for t, slots in enumerate(layout(amb)) if t >= 3}
+
+    def vec(*terms):
+        v = [0] * amb.dim
+        for t, x in terms:
+            v[t] = x
+        return tuple(v)
+
+    gens = [vec((w, 1), (tail[0, 0], traces[w])) for w in range(3)]
+    gens += [vec((tail[i, j], 1)) for j in range(r) for i in range(3) if i != j]
+    gens += [vec((tail[u, u], 1), (tail[0, 0], f.neg(1))) for u in range(1, r)]
     return space_from_coords(amb, gens)
 
 

@@ -63,6 +63,7 @@ from .opspace import (
     OperatorSpace,
     decode,
     encode,
+    layout,
     quotient_projection,
     quotient_space,
     side_by_side,
@@ -272,9 +273,6 @@ class MapSpace:
             raise AmbientMismatch("map lives on a different domain")
         return self.basis.member(map_to_coords(f_map))
 
-    def maps(self):
-        return [map_from_coords(self.domain, v) for v in self.basis.vectors]
-
 
 @dataclass(frozen=True, slots=True)
 class MapGenerators:
@@ -400,12 +398,10 @@ def _gf2_unit_keys(amb: Ambient) -> tuple[int, ...]:
     entries of the matrix whose coordinates are e_t: a key packs k bits per
     entry, entry (i, c) at bit (i*ncols + c)*k, so that field addition of
     matrices is XOR of keys.  Unit matrices have 0/1 entries (-1 = 1 in the
-    alternating kind), so only the low bit of each slot is set."""
+    alternating kind), so only the low bit of each slot that layout lists
+    for t is set."""
     k = amb.field.k
-    return tuple(
-        sum(1 << (t * k) for t, x in enumerate(decode(amb, unit).entries) if x)
-        for unit in SubspaceBasis.full(amb.field, amb.dim).vectors
-    )
+    return tuple(sum(1 << (s * k) for s, _ in slots) for slots in layout(amb))
 
 
 @lru_cache(maxsize=1)
@@ -680,13 +676,11 @@ def respects_row_decomposition(f_map: AdditiveMap) -> bool:
                     for j, v in enumerate(vec):
                         if v:
                             coords[j] = f.add(coords[j], f.mul(g, v))
-            scalar = 1
-            for _ in range(f.k):
-                scaled = tuple(f.mul(scalar, c) for c in coords)
+            for lam in f.power_basis:
+                scaled = tuple(f.mul(lam, c) for c in coords)
                 value = evaluate_at_coeffs(f_map, prime_coeffs_of(space, scaled))
                 if value[i]:
                     return False
-                scalar = f.mul(scalar, f.p if f.k > 1 else 1)
     return True
 
 

@@ -177,7 +177,6 @@ def test_criterion_7_property_suites():
 
     # double annihilator: ann(ann(V)) == V for every subspace of F_2^3 and
     # for spot checks over F_3 and F_4
-    import itertools
     import random
 
     for c in range(4):

@@ -15,7 +15,7 @@ from rckit.errors import (
     ShapeMismatch,
 )
 from rckit.field import make_field
-from rckit.linalg import SubspaceBasis, kernel_basis, matrix_from_rows
+from rckit.linalg import Matrix, SubspaceBasis, kernel_basis, matrix_from_rows
 from rckit.opspace import (
     Ambient,
     build_alt_2n5,
@@ -111,6 +111,102 @@ def test_nonzero_alternating_3x3_has_rank_2():
             assert rank(m) == (2 if any(v) else 0)
 
 
+def _ref_block_positions(amb):
+    n = amb.n
+    if amb.kind == "sym":
+        return [(i, i) for i in range(n)] + [(i, j) for i in range(n) for j in range(i + 1, n)]
+    if amb.kind == "alt":
+        return [(i, j) for i in range(1, n) for j in range(i)]
+    return []
+
+
+def _ref_tail_positions(amb):
+    if amb.kind == "full":
+        return [(i, j) for i in range(amb.n) for j in range(amb.m)]
+    return [(i, j) for j in range(amb.n, amb.n + amb.m) for i in range(amb.n)]
+
+
+def ref_encode(amb, mat):
+    """Reference encode written out kind by kind, independent of layout."""
+    f, n = amb.field, amb.n
+    if mat.rows != amb.nrows or mat.cols != amb.ncols:
+        raise MatrixNotInAmbient("shape")
+    out = []
+    if amb.kind == "sym":
+        for i in range(n):
+            for j in range(i + 1, n):
+                if mat.entry(i, j) != mat.entry(j, i):
+                    raise MatrixNotInAmbient("block is not symmetric")
+        out = [mat.entry(i, j) for i, j in _ref_block_positions(amb)]
+    elif amb.kind == "alt":
+        for i in range(n):
+            if mat.entry(i, i) != 0:
+                raise MatrixNotInAmbient("alternating block has nonzero diagonal")
+            for j in range(i + 1, n):
+                if mat.entry(i, j) != f.neg(mat.entry(j, i)):
+                    raise MatrixNotInAmbient("block is not alternating")
+        for i, j in _ref_block_positions(amb):
+            out.append(mat.entry(i, j) if (i + j) % 2 == 1 else mat.entry(j, i))
+    out.extend(mat.entry(i, j) for i, j in _ref_tail_positions(amb))
+    return tuple(out)
+
+
+def ref_decode(amb, coords):
+    """Reference decode written out kind by kind, independent of layout."""
+    f = amb.field
+    ent = [[0] * amb.ncols for _ in range(amb.nrows)]
+    pos = 0
+    for i, j in _ref_block_positions(amb):
+        v = coords[pos]
+        pos += 1
+        if amb.kind == "sym":
+            ent[i][j] = ent[j][i] = v
+        elif (i + j) % 2 == 1:
+            ent[i][j], ent[j][i] = v, f.neg(v)
+        else:
+            ent[j][i], ent[i][j] = v, f.neg(v)
+    for i, j in _ref_tail_positions(amb):
+        ent[i][j] = coords[pos]
+        pos += 1
+    return Matrix(f, amb.nrows, amb.ncols, tuple(x for row in ent for x in row))
+
+
+def _encode_or_none(enc, amb, mat):
+    try:
+        return enc(amb, mat)
+    except MatrixNotInAmbient:
+        return None
+
+
+def test_layout_matches_reference_encode_decode():
+    # m = 2 is included because a one-column tail reads the same row by row
+    # and column by column
+    rng = random.Random(17)
+    for f, kind, n, m in product((F2, F3, F4), ("sym", "alt", "full"), range(4), range(3)):
+        amb = Ambient(f, kind, n, m)
+        size = amb.nrows * amb.ncols
+        exhaustive = f.q**size <= 1 << 12
+        if exhaustive:
+            entries = product(range(f.q), repeat=size)
+        else:
+            entries = (tuple(rng.randrange(f.q) for _ in range(size)) for _ in range(200))
+        accepted = 0
+        for e in entries:
+            mat = Matrix(f, amb.nrows, amb.ncols, tuple(e))
+            coords = _encode_or_none(ref_encode, amb, mat)
+            assert _encode_or_none(encode, amb, mat) == coords, (amb, e)
+            if coords is not None:
+                accepted += 1
+                assert decode(amb, coords) == ref_decode(amb, coords) == mat
+        if exhaustive:
+            assert accepted == f.q**amb.dim
+        for _ in range(20):
+            v = random_coords(rng, amb)
+            assert decode(amb, v) == ref_decode(amb, v)
+            assert encode(amb, decode(amb, v)) == v
+            assert ref_encode(amb, ref_decode(amb, v)) == v
+
+
 def test_encode_rejects_wrong_structure():
     with pytest.raises(MatrixNotInAmbient):
         encode(Ambient(F2, "sym", 2, 0), matrix_from_rows(F2, [(0, 1), (0, 0)]))
@@ -185,6 +281,42 @@ def test_alt_2n6_membership():
     skew = [[0] * 4 for _ in range(4)]
     skew[2][1] = skew[1][2] = 1
     assert not s.contains(matrix_from_rows(F2, skew))
+
+
+def _structured_matrices(f, kind, n):
+    """Every symmetric or alternating n x n matrix, built entry by entry."""
+    pairs = [(i, j) for i in range(n) for j in range(i if kind == "sym" else i + 1, n)]
+    for values in product(range(f.q), repeat=len(pairs)):
+        ent = [[0] * n for _ in range(n)]
+        for (i, j), v in zip(pairs, values):
+            ent[i][j] = v
+            ent[j][i] = v if kind == "sym" else f.neg(v)
+        yield matrix_from_rows(f, ent)
+
+
+# the entry condition in each builder's docstring, 0-indexed
+ENTRY_CONDITIONS = {
+    "t3": lambda m, n: m.entry(1, 2) == 0,
+    "sym-block": lambda m, n: all(m.entry(0, j) == 0 for j in range(1, n)),
+    "u2": lambda m, n: m.entry(1, 1) == 0
+    and all(m.entry(i, j) == 0 for i in range(2) for j in range(2, n)),
+    "alt-col1": lambda m, n: all(m.entry(i, 0) == 0 for i in range(2, n)),
+}
+
+
+def test_builders_match_their_entry_conditions():
+    for f, n in [(F2, 3), (F2, 4), (F3, 3)]:
+        for name, condition in ENTRY_CONDITIONS.items():
+            if name == "t3" and n != 3:
+                continue
+            s = build_space(name if name == "t3" else f"{name}:{n}", f)
+            kind = "alt" if name == "alt-col1" else "sym"
+            assert s.ambient == Ambient(f, kind, n, 0)
+            hits = 0
+            for m in _structured_matrices(f, kind, n):
+                assert s.contains(m) == condition(m, n), (name, f, m)
+                hits += s.contains(m)
+            assert hits == f.q**s.dim
 
 
 def test_side_by_side():
@@ -321,8 +453,10 @@ def test_mf_builder():
                 for v in product(range(f.q), repeat=6)
             )
             assert hits == f.q**5
-    s = build_mf(F2, 2, (1, 0, 0, 1, 0, 1, 1, 0, 0, 0, 0, 0))
-    assert s.codim == 1 and s.ambient.dim == 9
+    for f, coeffs in [(F2, (1, 0, 0, 1, 0, 1, 1, 0, 0, 0, 0, 0)), (F3, (2, 1, 0, 1) * 3)]:
+        s = build_mf(f, 2, coeffs)
+        assert s.codim == 1 and s.ambient.dim == 9
+        assert all(mf_membership(f, 2, coeffs, m) for m in s.basis_matrices())
     with pytest.raises(BadParams):
         build_mf(F2, 1, (0, 1))
     with pytest.raises(BadParams):

@@ -29,7 +29,6 @@ from rckit.opspace import (
     build_sym_block,
     build_t3,
     decode,
-    encode,
     enumerate_subspaces_up_to,
     full_space,
     quotient_projection,
@@ -60,7 +59,6 @@ from rckit.rcmaps import (
     map_to_json,
     naive_rc_maps,
     prime_basis_vectors,
-    prime_coeffs_of,
     quotient_map,
     random_map,
     rc_solution_space,
