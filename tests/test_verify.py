@@ -139,6 +139,41 @@ def test_gf4_class_suite_reports_are_pinned(run, cases, digest):
     assert _canonical_sha256(rep) == digest
 
 
+@pytest.mark.parametrize(
+    "run, cases, digest",
+    [
+        (
+            lambda: V.run_quotient_property(200, 0),
+            200,
+            "3ca4ce52498b180620ae4a4f9448cce1692c7b43f10e0806a9e232c1c6fd4aed",
+        ),
+        (
+            lambda: V.run_splitting_property(200, 0),
+            200,
+            "85c57252fe2e128b8b3864870ec8341a4ac62322ab8cef22cd7f7842a5c34fb9",
+        ),
+        (
+            lambda: V.run_alt_main(F2, 3, m=1),
+            8,
+            "bd7e5b87de333e61c396bb3f90471c5e9a8d0140b7ca42e95caae5c0c6cbc636",
+        ),
+        (
+            lambda: V.run_alt_main(F3, 3, m=1),
+            14,
+            "24753d5d490f9eb5fa075e5d193a34bcbc2ebc262949a3d65f4400dad34e44ff",
+        ),
+    ],
+    ids=["quotient-lemma", "splitting-lemma", "alt3x1-f2", "alt3x1-f3"],
+)
+def test_lemma_and_admissibility_reports_are_pinned(run, cases, digest):
+    # the digests are those of the reports from products, joins and splits
+    # built by padding and slicing matrices, and of the admissibility filter
+    # built by intersecting with an annihilator
+    rep = run()
+    assert rep.verified and rep.cases_run == cases
+    assert _canonical_sha256(rep) == digest
+
+
 def test_full_class_suites():
     for f, n in ((F2, 2), (F2, 3), (F3, 2), (F4, 2)):
         rep = V.run_full_sym_class(f, n)
