@@ -15,7 +15,9 @@ field K:
 layout(amb) is the one place this coordinate order and its signs live: a
 cached table of the entry slots each coordinate fills.  encode, decode and
 the coordinate-span builders read it, and so do the packed F_2 keys in
-rcmaps.
+rcmaps.  product_coords(left, right), read off three layout tables, places
+the coordinates of two factors in their side-by-side product [M | R]; products
+of spaces here and joins and splits of maps in rcmaps go through it.
 
 An OperatorSpace is a linear subspace of an ambient held as a canonical
 (reduced row echelon) coordinate basis, so equality of spaces is equality of
@@ -40,8 +42,8 @@ from .linalg import (
     Matrix,
     SubspaceBasis,
     annihilator,
+    echelonize,
     gaussian_binomial,
-    intersect_spaces,
     kernel_basis,
     matrix_from_rows,
 )
@@ -189,23 +191,48 @@ def _check_same_field(a: OperatorSpace, b: OperatorSpace) -> None:
         raise MixedFields("spaces over different fields")
 
 
+@lru_cache(maxsize=256)
+def product_coords(left: Ambient, right: Ambient) -> tuple[int, ...]:
+    """The coordinate in the ambient of [M | R] of each coordinate of M in
+    left, then of each coordinate of R in right: a bijection.
+
+    Entry (i, j) of M sits at (i, j) of [M | R] and entry (i, j) of R at
+    (i, left.ncols + j), and each coordinate is read off the first slot
+    layout lists for it.
+    """
+    prod = Ambient(left.field, left.kind, left.n, left.m + right.m)
+    at = {slots[0][0]: t for t, slots in enumerate(layout(prod))}
+    out = []
+    for amb, shift in ((left, 0), (right, left.ncols)):
+        for slots in layout(amb):
+            i, j = divmod(slots[0][0], amb.ncols)
+            out.append(at[i * prod.ncols + shift + j])
+    return tuple(out)
+
+
+def place_in_product(left: Ambient, right: Ambient, left_vecs, right_vecs) -> list[list[int]]:
+    """The coordinate vectors left_vecs of left, then right_vecs of right,
+    placed in the ambient of [M | R] by product_coords."""
+    where = product_coords(left, right)
+    out = []
+    for shift, vecs in ((0, left_vecs), (left.dim, right_vecs)):
+        for v in vecs:
+            w = [0] * len(where)
+            for t, x in enumerate(v):
+                w[where[shift + t]] = x
+            out.append(w)
+    return out
+
+
 def side_by_side(a: OperatorSpace, b: OperatorSpace) -> OperatorSpace:
-    """All matrices [M | R] with M in a and R in b; b must be a full space
-    of rectangles with the same number of rows."""
+    """All matrices [M | R] with M in a and R in b; b must be a space of
+    rectangles with the same number of rows."""
     _check_same_field(a, b)
     if b.ambient.kind != KIND_FULL or b.ambient.nrows != a.ambient.nrows:
         raise AmbientMismatch("second factor must be full rectangles with matching rows")
-    f = a.ambient.field
-    amb = Ambient(f, a.ambient.kind, a.ambient.n, a.ambient.m + b.ambient.m)
-    nrows, old_cols, extra = amb.nrows, a.ambient.ncols, b.ambient.m
-    mats = []
-    for mat in a.basis_matrices():
-        ent = [list(mat.row_tuple(i)) + [0] * extra for i in range(nrows)]
-        mats.append(matrix_from_rows(f, ent))
-    for mat in b.basis_matrices():
-        ent = [[0] * old_cols + list(mat.row_tuple(i)) for i in range(nrows)]
-        mats.append(matrix_from_rows(f, ent))
-    return space_from_coords(amb, [encode(amb, m) for m in mats], product_of=(a, b))
+    amb = Ambient(a.ambient.field, a.ambient.kind, a.ambient.n, a.ambient.m + b.ambient.m)
+    vecs = place_in_product(a.ambient, b.ambient, a.basis.vectors, b.basis.vectors)
+    return space_from_coords(amb, vecs, product_of=(a, b))
 
 
 def congruent(s: OperatorSpace, q: Matrix) -> OperatorSpace:
@@ -225,27 +252,15 @@ def congruent(s: OperatorSpace, q: Matrix) -> OperatorSpace:
 
 
 def restricted_part(s: OperatorSpace) -> OperatorSpace:
-    """Matrices of s whose tail vanishes, viewed in the tailless ambient."""
+    """Matrices of s whose tail vanishes, viewed in the tailless ambient: the
+    rows of s echelonized tail first whose pivot falls in the block."""
     amb = s.ambient
     if amb.kind == KIND_FULL:
         raise AmbientMismatch("restricted_part needs a sym or alt ambient")
-    block_dim = Ambient(amb.field, amb.kind, amb.n, 0).dim
-    vecs = [
-        v[:block_dim]
-        for v in _coordinate_section(s, block_dim).vectors
-    ]
-    return space_from_coords(Ambient(amb.field, amb.kind, amb.n, 0), vecs)
-
-
-def _coordinate_section(s: OperatorSpace, block_dim: int) -> SubspaceBasis:
-    """Subbasis of s whose vectors vanish on all tail coordinates."""
-    amb = s.ambient
-    zero_tail = [
-        tuple(1 if j == t else 0 for j in range(amb.dim))
-        for t in range(block_dim, amb.dim)
-    ]
-    tailless = annihilator(SubspaceBasis.from_vectors(amb.field, amb.dim, zero_tail))
-    return intersect_spaces(s.basis, tailless)
+    block = Ambient(amb.field, amb.kind, amb.n, 0)
+    b, t = block.dim, amb.dim - block.dim
+    rows, pivots = echelonize(amb.field, [v[b:] + v[:b] for v in s.basis.vectors], amb.dim)
+    return space_from_coords(block, [r[t:] for r, p in zip(rows, pivots) if p >= t])
 
 
 def quotient_projection(s: OperatorSpace, w: SubspaceBasis) -> Matrix:

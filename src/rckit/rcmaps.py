@@ -15,10 +15,11 @@ Everything here reduces questions about such maps to F_p-linear algebra:
   Two builders produce them.  In characteristic 2 the prime coefficients
   are bits, and a packed-bitset walk visits the elements in Gray-code order
   over the prime basis (`_rc_gray_gf2`).  In odd characteristic the element
-  walk (`_rc_element_walk`) decodes the elements one by one and builds
-  tuple rows (`_constraint_rows_for`); it is also the reference the tests
-  compare the Gray walk against on every field (see rc_solution_space for
-  why the two agree).
+  walk (`_rc_element_walk`) visits the element matrices in odometer order,
+  each step adding the entries of one prime basis matrix, and builds tuple
+  rows (`_constraint_rows_for`); it is also the reference the tests compare
+  the Gray walk against on every field (see rc_solution_space for why the
+  two agree).
 * F is local when it is evaluation at a fixed vector, F(s) = s x.
 * In characteristic 2 the diagonal maps s -> alpha(diag of the symmetric
   block) for root-linear alpha (additive with alpha(c^2 x) = c alpha(x))
@@ -64,6 +65,8 @@ from .opspace import (
     decode,
     encode,
     layout,
+    place_in_product,
+    product_coords,
     quotient_projection,
     quotient_space,
     side_by_side,
@@ -102,16 +105,17 @@ def map_coord_width(space: OperatorSpace) -> int:
 
 
 def iter_space_elements(space: OperatorSpace):
-    """Yield (prime_coeffs, coords) for all q^dim elements, odometer order."""
-    f = space.ambient.field
+    """Yield (prime_coeffs, matrix) for all q^dim elements, odometer order:
+    each step adds the entries of the prime basis matrices, decoded once."""
+    amb = space.ambient
+    f = amb.field
     p = f.p
-    basis_p = prime_basis_vectors(space)
-    d = len(basis_p)
-    width = space.ambient.dim
-    supports = [[(t, v[t]) for t in range(width) if v[t]] for v in basis_p]
+    mats = _prime_basis_matrices(space)
+    supports = [[(t, x) for t, x in enumerate(m.entries) if x] for m in mats]
+    d = len(supports)
     digits = [0] * d
-    cur = [0] * width
-    yield tuple(digits), tuple(cur)
+    cur = [0] * (amb.nrows * amb.ncols)
+    yield tuple(digits), Matrix(f, amb.nrows, amb.ncols, tuple(cur))
     if d == 0:
         return
     add = f.add
@@ -126,7 +130,7 @@ def iter_space_elements(space: OperatorSpace):
                 j += 1
             else:
                 break
-        yield tuple(digits), tuple(cur)
+        yield tuple(digits), Matrix(f, amb.nrows, amb.ncols, tuple(cur))
 
 
 @dataclass(frozen=True, slots=True)
@@ -173,14 +177,10 @@ def map_from_function(space: OperatorSpace, fn) -> AdditiveMap:
 
 def prime_coeffs_of(space: OperatorSpace, coords) -> tuple[int, ...]:
     """F_p-coordinates of an element of S in the prime basis."""
-    f = space.ambient.field
     gamma = space.basis.coords_of(coords)
     if gamma is None:
         raise NotInDomain("matrix is not in the map's domain")
-    out = []
-    for g in gamma:
-        out.extend(f.prime_coords(g))
-    return tuple(out)
+    return _coords_of_values(space.ambient.field, (gamma,))
 
 
 def evaluate_at_coeffs(f_map: AdditiveMap, coeffs) -> tuple[int, ...]:
@@ -195,12 +195,26 @@ def evaluate_at_coeffs(f_map: AdditiveMap, coeffs) -> tuple[int, ...]:
     return tuple(acc)
 
 
+def _value_at(f_map: AdditiveMap, coords) -> tuple[int, ...]:
+    """F at the element with these ambient coordinates."""
+    return evaluate_at_coeffs(f_map, prime_coeffs_of(f_map.domain, coords))
+
+
+def _values_on_line(f_map: AdditiveMap, gamma) -> list[tuple[int, ...]]:
+    """F(lam s) for each lam of the power basis, s = sum of gamma_i b_i."""
+    f = f_map.domain.ambient.field
+    return [
+        evaluate_at_coeffs(f_map, _coords_of_values(f, ([f.mul(lam, g) for g in gamma],)))
+        for lam in f.power_basis
+    ]
+
+
 def evaluate(f_map: AdditiveMap, mat: Matrix) -> tuple[int, ...]:
     """F(mat) in K^n; raises NotInDomain outside the domain."""
     space = f_map.domain
     if mat.field is not space.ambient.field:
         raise MixedFields("matrix over a different field")
-    return evaluate_at_coeffs(f_map, prime_coeffs_of(space, encode(space.ambient, mat)))
+    return _value_at(f_map, encode(space.ambient, mat))
 
 
 def map_to_coords(f_map: AdditiveMap) -> tuple[int, ...]:
@@ -244,12 +258,9 @@ def is_range_compatible(f_map: AdditiveMap, cap: int | None = None) -> bool:
     limit = element_cap(cap)
     if f.q**space.dim > limit:
         raise DomainTooLarge(f"{f.q ** space.dim} elements exceeds cap {limit}")
-    amb = space.ambient
-    for coeffs, coords in iter_space_elements(space):
+    for coeffs, mat in iter_space_elements(space):
         value = evaluate_at_coeffs(f_map, coeffs)
-        if not any(value):
-            continue
-        if solve(decode(amb, coords), value) is None:
+        if any(value) and solve(mat, value) is None:
             return False
     return True
 
@@ -527,24 +538,22 @@ def _rc_gray_gf2(
 def _rc_element_walk(
     space: OperatorSpace, target: MapGenerators | None = None
 ) -> MapSpace | None:
-    """The reference solve for every field: decode every element, take the
-    canonical basis of its left kernel and fold the `_constraint_rows_for`
-    rows, packed in characteristic 2 for the F_2 accumulator.  No element
-    cap here: callers check it.
+    """The reference solve for every field: walk the element matrices, take
+    the canonical basis of each one's left kernel and fold the
+    `_constraint_rows_for` rows, packed in characteristic 2 for the F_2
+    accumulator.  No element cap here: callers check it.
     """
     f = space.ambient.field
     n, ncols = space.ambient.nrows, space.ambient.ncols
     stride = n * f.k
-    amb = space.ambient
     acc = make_accumulator(prime_field(space), map_coord_width(space))
     goal = _goal(acc, target)
     if goal == 0:
         return None
     packed = isinstance(acc, Gf2Accumulator)
-    for coeffs, coords in iter_space_elements(space):
+    for coeffs, mat in iter_space_elements(space):
         if not any(coeffs):
             continue
-        mat = decode(amb, coords)
         for a in left_kernel_rows(f, mat.entries, n, ncols):
             for row in _constraint_rows_for(space, coeffs, a, stride):
                 if not any(row):
@@ -662,25 +671,14 @@ def respects_row_decomposition(f_map: AdditiveMap) -> bool:
     """
     space = f_map.domain
     amb = space.ambient
-    f = amb.field
     if space.dim == 0:
         return True
+    mats = [decode(amb, vec) for vec in space.basis.vectors]
     for i in range(amb.nrows):
-        stacked = []
-        for vec in space.basis.vectors:
-            stacked.extend(decode(amb, vec).row_tuple(i))
-        for gamma in left_kernel_rows(f, tuple(stacked), space.dim, amb.ncols):
-            coords = [0] * amb.dim
-            for g, vec in zip(gamma, space.basis.vectors):
-                if g:
-                    for j, v in enumerate(vec):
-                        if v:
-                            coords[j] = f.add(coords[j], f.mul(g, v))
-            for lam in f.power_basis:
-                scaled = tuple(f.mul(lam, c) for c in coords)
-                value = evaluate_at_coeffs(f_map, prime_coeffs_of(space, scaled))
-                if value[i]:
-                    return False
+        stacked = tuple(x for m in mats for x in m.row_tuple(i))
+        for gamma in left_kernel_rows(amb.field, stacked, space.dim, amb.ncols):
+            if any(value[i] for value in _values_on_line(f_map, gamma)):
+                return False
     return True
 
 
@@ -702,10 +700,7 @@ def is_local(f_map: AdditiveMap):
         for r in range(amb.nrows):
             rows.append(mat.row_tuple(r))
             rhs.append(f_map.values[i * k][r])
-    stacked = (
-        matrix_from_rows(f, rows) if rows else Matrix(f, 0, amb.ncols, ())
-    )
-    x = solve(stacked, tuple(rhs))
+    x = solve(Matrix(f, len(rows), amb.ncols, tuple(e for r in rows for e in r)), tuple(rhs))
     if x is None:
         return None
     for u, val in zip(prime_basis_vectors(space), f_map.values):
@@ -858,24 +853,14 @@ def quotient_map(f_map: AdditiveMap, w: SubspaceBasis) -> AdditiveMap:
     phi_cols = matrix_from_rows(f, images).transpose() if images else Matrix(f, q_amb.dim, 0, ())
     # well-definedness on the kernel of phi within S
     for gamma in kernel_basis(phi_cols).vectors:
-        for lam in f.power_basis:
-            coeffs = []
-            for g in gamma:
-                coeffs.extend(f.prime_coords(f.mul(lam, g)))
-            value = evaluate_at_coeffs(f_map, coeffs)
-            if any(p_mat.mat_vec(value)):
-                raise IllDefined("map does not vanish where the projection does")
+        if any(any(p_mat.mat_vec(v)) for v in _values_on_line(f_map, gamma)):
+            raise IllDefined("map does not vanish where the projection does")
     # values on the prime basis of the quotient
     values = []
     for qb in q_space.basis.vectors:
         gamma = solve(phi_cols, qb)
         assert gamma is not None  # qb is in the image of phi by construction
-        for lam in f.power_basis:
-            coeffs = []
-            for g in gamma:
-                coeffs.extend(f.prime_coords(f.mul(lam, g)))
-            value = evaluate_at_coeffs(f_map, coeffs)
-            values.append(p_mat.mat_vec(value))
+        values.extend(p_mat.mat_vec(v) for v in _values_on_line(f_map, gamma))
     return AdditiveMap(q_space, tuple(values))
 
 
@@ -883,20 +868,15 @@ def join_maps(f_map: AdditiveMap, g_map: AdditiveMap) -> AdditiveMap:
     """The map [M | R] -> F(M) + G(R) on the side-by-side product."""
     a, b = f_map.domain, g_map.domain
     s = side_by_side(a, b)
-    amb = s.ambient
-    split = a.ambient.ncols
+    add = s.ambient.field.add
+    where = product_coords(a.ambient, b.ambient)
+    split = a.ambient.dim
     values = []
     for v in prime_basis_vectors(s):
-        mat = decode(amb, v)
-        left = matrix_from_rows(
-            amb.field, [mat.row_tuple(i)[:split] for i in range(amb.nrows)]
-        )
-        right = matrix_from_rows(
-            amb.field, [mat.row_tuple(i)[split:] for i in range(amb.nrows)]
-        )
-        fv = evaluate(f_map, left)
-        gv = evaluate(g_map, right)
-        values.append(tuple(amb.field.add(x, y) for x, y in zip(fv, gv)))
+        parts = [v[u] for u in where]
+        fv = _value_at(f_map, parts[:split])
+        gv = _value_at(g_map, parts[split:])
+        values.append(tuple(add(x, y) for x, y in zip(fv, gv)))
     return AdditiveMap(s, tuple(values))
 
 
@@ -906,30 +886,10 @@ def split_map(f_map: AdditiveMap) -> tuple[AdditiveMap, AdditiveMap]:
     if s.product_of is None:
         raise AmbientMismatch("domain was not built by side_by_side")
     a, b = s.product_of
-    amb = s.ambient
-    f = amb.field
-    split = a.ambient.ncols
-    extra = amb.ncols - split
-
-    def embed_left(mat):
-        return matrix_from_rows(
-            f, [list(mat.row_tuple(i)) + [0] * extra for i in range(amb.nrows)]
-        )
-
-    def embed_right(mat):
-        return matrix_from_rows(
-            f, [[0] * split + list(mat.row_tuple(i)) for i in range(amb.nrows)]
-        )
-
-    f_vals = [
-        evaluate(f_map, embed_left(decode(a.ambient, v)))
-        for v in prime_basis_vectors(a)
-    ]
-    g_vals = [
-        evaluate(f_map, embed_right(decode(b.ambient, v)))
-        for v in prime_basis_vectors(b)
-    ]
-    return AdditiveMap(a, tuple(f_vals)), AdditiveMap(b, tuple(g_vals))
+    pa = prime_basis_vectors(a)
+    placed = place_in_product(a.ambient, b.ambient, pa, prime_basis_vectors(b))
+    values = tuple(_value_at(f_map, w) for w in placed)
+    return AdditiveMap(a, values[: len(pa)]), AdditiveMap(b, values[len(pa) :])
 
 
 # ---------------------------------------------------------------------------
@@ -959,10 +919,9 @@ def _element_value_sets(space: OperatorSpace):
     """For each nonzero element: (prime coefficients, set of valid values)."""
     amb = space.ambient
     out = []
-    for coeffs, coords in iter_space_elements(space):
+    for coeffs, mat in iter_space_elements(space):
         if not any(coeffs):
             continue
-        mat = decode(amb, coords)
         col_span = SubspaceBasis.from_vectors(
             amb.field, amb.nrows, [mat.col_tuple(j) for j in range(amb.ncols)]
         )

