@@ -69,8 +69,10 @@ from rckit.rcmaps import (
     standard_generators,
     standard_space,
     MapGenerators,
+    _char2_generators,
     _char2_patterns,
     _constraint_rows_for,
+    _decoded_generators,
     _gf2_basis_keys,
     _gf2_left_kernel,
     _naive_rc_maps_generic,
@@ -217,35 +219,43 @@ def test_rc_solver_matches_oracle_on_random_subspaces():
 
 
 @st.composite
-def char2_spaces(draw, field):
-    """A random subspace of a small sym, alt or full ambient over a field of
-    characteristic 2, with or without a tail; no generators gives the zero
-    space.  At most 2^12 elements: dimension <= 6 over F_2 and F_4, <= 4
-    over F_8."""
+def small_spaces(draw, field):
+    """A random subspace of a small sym, alt or full ambient, with or
+    without a tail; no generators gives the zero space.  At most 2^12
+    elements: dimension <= 6 over F_2 and F_4, <= 5 over F_3, <= 4 over
+    F_8."""
     kind = draw(st.sampled_from([KIND_SYM, KIND_ALT, KIND_FULL]))
     n = draw(st.integers(1, 4))
     m = draw(st.integers(0, 2))
     amb = Ambient(field, kind, n, m)
     vec = st.tuples(*[st.integers(0, field.q - 1)] * amb.dim)
-    return space_from_coords(amb, draw(st.lists(vec, max_size=4 if field.q == 8 else 6)))
+    size = {2: 6, 3: 5, 4: 6, 8: 4}[field.q]
+    return space_from_coords(amb, draw(st.lists(vec, max_size=size)))
 
 
-# 170 examples keep about as many F_2 spaces (85) as the F_2-only test had
-@settings(max_examples=170, deadline=None, derandomize=True)
-@given(st.sampled_from([F2, F4, F8]).flatmap(char2_spaces))
+# 228 examples keep about as many spaces per field (57) as the
+# characteristic-2 test this one extends had
+@settings(max_examples=228, deadline=None, derandomize=True)
+@given(st.sampled_from([F2, F3, F4, F8]).flatmap(small_spaces))
 @example(space_from_coords(Ambient(F2, KIND_SYM, 2, 1), []))
 @example(full_space(Ambient(F2, KIND_ALT, 3, 1)))
 @example(full_space(Ambient(F4, KIND_SYM, 2, 1)))
 @example(full_space(Ambient(F8, KIND_FULL, 2, 2)))
-def test_gf2_packed_solver_matches_element_walk(space):
+@example(full_space(Ambient(F3, KIND_SYM, 2, 1)))
+def test_solvers_match_element_walk_with_and_without_target(space):
     full = _rc_element_walk(space)
     assert rc_solution_space(space) == full
-    # local maps are range-compatible on every ambient, so they are a valid
-    # target for both walks, which certify it exactly when it is all of RC
-    gens = local_generators(space)
-    want = None if full == local_space(space) else full
-    assert rc_solution_space(space, target=gens) == want
-    assert _rc_element_walk(space, target=gens) == want
+    # local maps are range-compatible on every ambient, and standard maps on
+    # symmetric ones, so they are valid targets for both walks, which fold
+    # the low-weight prefix first and certify a target exactly when it is
+    # all of RC
+    targets = [local_generators(space)]
+    if space.ambient.kind == KIND_SYM:
+        targets.append(standard_generators(space))
+    for gens in targets:
+        want = None if full == gens.span() else full
+        assert rc_solution_space(space, target=gens) == want
+        assert _rc_element_walk(space, target=gens) == want
 
 
 def test_gf2_packed_solver_matches_element_walk_on_sym3_codim1():
@@ -283,6 +293,29 @@ def test_certified_stop_runs_on_when_rc_exceeds_target():
     std = standard_generators(s)
     assert full.dim > std.rank == std.span().dim
     assert rc_solution_space(s, target=std) == full
+
+
+def test_certified_stop_falls_back_over_f3():
+    # a 5-dimensional subspace of Sym(4, 1) over F_3, far beyond the
+    # codimension bound, found with the full walk: RC is larger than the
+    # local (= standard) maps, and the elements of weight <= 4 alone leave a
+    # kernel larger than RC, so the exact RC needs the rows of the fallback
+    s = space_from_coords(
+        Ambient(F3, KIND_SYM, 4, 1),
+        [
+            (1, 0, 0, 0, 0, 2, 2, 0, 2, 1, 1, 1, 1, 1),
+            (0, 1, 0, 0, 0, 2, 0, 1, 1, 1, 1, 2, 0, 0),
+            (0, 0, 1, 0, 0, 0, 0, 0, 2, 0, 2, 2, 0, 1),
+            (0, 0, 0, 1, 0, 0, 0, 1, 2, 1, 1, 0, 1, 0),
+            (0, 0, 0, 0, 1, 2, 0, 0, 0, 2, 0, 0, 1, 1),
+        ],
+    )
+    full = _rc_element_walk(s)
+    assert s.dim == 5 and full.dim == 6
+    for gens in (local_generators(s), standard_generators(s)):
+        assert gens.span().dim == 5
+        assert rc_solution_space(s, target=gens) == full
+        assert _rc_element_walk(s, target=gens) == full
 
 
 def _wrong_target(space, rc):
@@ -404,6 +437,29 @@ def test_generator_spans_match_map_oracle(field):
                 assert gens.rank == want.dim
                 assert gens.span().basis == want
                 assert canonical(s).basis == want
+
+
+@pytest.mark.parametrize("field", [F4, F8], ids=["f4", "f8"])
+def test_char2_generators_match_decoded_generators(field):
+    rng = random.Random(61)
+    for kind in (KIND_SYM, KIND_ALT, KIND_FULL):
+        for n, m in ((0, 2), (1, 1), (2, 0), (2, 2), (3, 1)):
+            amb = Ambient(field, kind, n, m)
+            for _ in range(5):
+                vecs = [
+                    tuple(rng.randrange(field.q) for _ in range(amb.dim))
+                    for _ in range(rng.randrange(0, 4))
+                ]
+                s = space_from_coords(amb, vecs)
+                keys = _gf2_basis_keys(s)
+                # diagonal maps are defined on symmetric blocks only
+                for diagonal in (False, True) if kind == KIND_SYM else (False,):
+                    want = [
+                        sum(x << t for t, x in enumerate(g))
+                        for g in _decoded_generators(s, diagonal)
+                    ]
+                    got = _char2_generators(field, keys, n, amb.ncols, diagonal)
+                    assert got == want, (kind, n, m, diagonal, s.basis.vectors)
 
 
 def _same_left_kernel(key, n, ncols):
@@ -544,9 +600,11 @@ def test_root_linear_forms_basis():
     assert len(forms) == 2
     tables = [form.table for form in forms]
     assert len(set(tables)) == 2
-    assert root_linear_forms(F3) == []
+    assert root_linear_forms(F3) == ()
     with pytest.raises(CharacteristicMismatch):
         root_linear_form(F3, 1)
+    # built once per field: the same tuple comes back
+    assert root_linear_forms(F4) is forms
     # the scaling law in F_4: alpha(c^2 x) = c alpha(x)
     for form in forms:
         for c in range(4):

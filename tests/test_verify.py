@@ -143,6 +143,36 @@ def test_gf4_class_suite_reports_are_pinned(run, cases, digest):
     "run, cases, digest",
     [
         (
+            lambda: V.run_sym_main(F2, 4, codim=1),
+            1024,
+            "0b2ac289fccfd1a1f873dacbdb64875d2db465e2907e1cbe4e2ba6964233c4af",
+        ),
+        (
+            lambda: V.run_sym_main(F3, 3),
+            365,
+            "17bcca495c1c4b0661e0a63daf71b0127ca1d2ac08bcb883b29ae24d175bb2f1",
+        ),
+        (
+            lambda: V.run_alt_main(F2, 5, codim=1),
+            1024,
+            "8a6f4be24ebd535bb7a8d404c0c321c5b312081cddbfba39253d7eff6527bf8d",
+        ),
+    ],
+    ids=["sym4c1-f2", "sym3-f3", "alt5c1-f2"],
+)
+def test_certified_class_suite_reports_are_pinned(run, cases, digest):
+    # the digests are those of the walks in Gray or odometer order alone,
+    # which the low-weight prefix must reproduce byte for byte (apart from
+    # wallTime): over F_2, over F_3 and with the alternating local target
+    rep = run()
+    assert rep.verified and rep.cases_run == cases
+    assert _canonical_sha256(rep) == digest
+
+
+@pytest.mark.parametrize(
+    "run, cases, digest",
+    [
+        (
             lambda: V.run_quotient_property(200, 0),
             200,
             "3ca4ce52498b180620ae4a4f9448cce1692c7b43f10e0806a9e232c1c6fd4aed",
