@@ -264,15 +264,13 @@ class Matrix:
     def mat_vec(self, v) -> Vec:
         if len(v) != self.cols:
             raise ShapeMismatch("vector length does not match matrix columns")
-        f = self.field
+        add, mul = self.field.add_table, self.field.mul_table
+        support = [(j, mul[x]) for j, x in enumerate(v) if x]
         out = []
         for i in range(self.rows):
-            acc = 0
-            base = i * self.cols
-            for j in range(self.cols):
-                e = self.entries[base + j]
-                if e and v[j]:
-                    acc = f.add(acc, f.mul(e, v[j]))
+            row, acc = self.row_tuple(i), 0
+            for j, times_x in support:
+                acc = add[acc][times_x[row[j]]]
             out.append(acc)
         return tuple(out)
 

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
+from itertools import combinations, product
 
 from .errors import (
     AmbientMismatch,
@@ -276,13 +277,25 @@ def quotient_projection(s: OperatorSpace, w: SubspaceBasis) -> Matrix:
     return matrix_from_rows(amb.field, ann.vectors)
 
 
-def quotient_space(s: OperatorSpace, w: SubspaceBasis) -> OperatorSpace:
-    """The space {P M : M in s} of rectangles, P projecting along w."""
-    p = quotient_projection(s, w)
-    amb = s.ambient
+@lru_cache(maxsize=256)
+def projection_table(amb: Ambient, p: Matrix) -> Matrix:
+    """The matrix whose column t holds the coordinates of P E_t in the full
+    rows(P) x ncols ambient, E_t the matrix of amb with coordinates e_t.  P M
+    is linear in the coordinates of M, so the table times those of any M
+    gives those of P M, with no decode, matmul or encode per M."""
     out_amb = Ambient(amb.field, KIND_FULL, p.rows, amb.ncols)
-    mats = [p.matmul(m) for m in s.basis_matrices()]
-    return space_from_coords(out_amb, [encode(out_amb, m) for m in mats])
+    units = SubspaceBasis.full(amb.field, amb.dim).vectors
+    cols = [encode(out_amb, p.matmul(decode(amb, e))) for e in units]
+    return matrix_from_rows(amb.field, cols).transpose()
+
+
+def quotient_space(s: OperatorSpace, w: SubspaceBasis, p: Matrix | None = None) -> OperatorSpace:
+    """The space {P M : M in s} of rectangles, P = quotient_projection(s, w)
+    unless the caller passes it, read through projection_table."""
+    p = quotient_projection(s, w) if p is None else p
+    table = projection_table(s.ambient, p)
+    out_amb = Ambient(s.ambient.field, KIND_FULL, p.rows, s.ambient.ncols)
+    return space_from_coords(out_amb, [table.mat_vec(v) for v in s.basis.vectors])
 
 
 # ---------------------------------------------------------------------------
@@ -293,28 +306,29 @@ def count_subspaces(amb: Ambient, codim: int) -> int:
     return gaussian_binomial(amb.dim, amb.dim - codim, amb.field.q)
 
 
+def rref_rows(field: FieldSpec, dim: int, pivots):
+    """Every reduced-row-echelon matrix over K^dim with these pivot columns,
+    as a tuple of row tuples, by free entries ascending, the last row's last
+    fastest: the product of each row's own range keeps that order."""
+    ranges = []
+    for p in pivots:
+        free = [col for col in range(p + 1, dim) if col not in pivots]
+        row = [int(col == p) for col in range(dim)]
+        opts = []
+        for values in product(range(field.q), repeat=len(free)):
+            for col, v in zip(free, values):
+                row[col] = v
+            opts.append(tuple(row))
+        ranges.append(opts)
+    return product(*ranges)
+
+
 def dual_rref_rows(field: FieldSpec, dim: int, rank: int):
     """Every reduced-row-echelon matrix with `rank` rows over K^dim, scanned
     by pivot-column combination and then by free entries, both ascending.
     These index the rank-codimensional subspaces via their annihilators."""
-    from itertools import combinations, product
-
-    q = field.q
     for pivots in combinations(range(dim), rank):
-        pivot_set = set(pivots)
-        free = [
-            (i, col)
-            for i in range(rank)
-            for col in range(pivots[i] + 1, dim)
-            if col not in pivot_set
-        ]
-        for values in product(range(q), repeat=len(free)):
-            rows = [[0] * dim for _ in range(rank)]
-            for i, p in enumerate(pivots):
-                rows[i][p] = 1
-            for (i, col), v in zip(free, values):
-                rows[i][col] = v
-            yield rows
+        yield from rref_rows(field, dim, pivots)
 
 
 def enumerate_subspaces(amb: Ambient, codim: int, cap: int = 1 << 20):

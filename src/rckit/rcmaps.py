@@ -72,6 +72,7 @@ from .opspace import (
     layout,
     place_in_product,
     product_coords,
+    projection_table,
     quotient_projection,
     quotient_space,
     side_by_side,
@@ -492,6 +493,13 @@ def _gf2_left_kernel(key: int, n: int, ncols: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=1 << 16)
+def _left_kernel(f: FieldSpec, entries: tuple[int, ...], n: int, ncols: int) -> tuple:
+    """left_kernel_rows, kept: like _gf2_left_kernel's, the result depends on
+    the field and the matrix alone, so every solve in the process shares it."""
+    return tuple(left_kernel_rows(f, entries, n, ncols))
+
+
+@lru_cache(maxsize=1 << 16)
 def _char2_patterns(f: FieldSpec, key: int, n: int, ncols: int) -> tuple[int, ...]:
     """The constraint patterns of the n x ncols matrix over f, of
     characteristic 2 and degree k > 1, whose entry (i, c) is the k-bit slot
@@ -575,8 +583,8 @@ def _rc_element_walk(
     space: OperatorSpace, target: MapGenerators | None = None
 ) -> MapSpace | None:
     """The reference solve for every field: walk the element matrices, take
-    the canonical basis of each one's left kernel and fold the
-    `_constraint_rows_for` rows, packed in characteristic 2 for the F_2
+    the canonical basis of each one's left kernel (from _left_kernel) and
+    fold the `_constraint_rows_for` rows, packed in characteristic 2 for the F_2
     accumulator.  With a target the low-weight prefix (see
     rc_solution_space) comes first.  No element cap here: callers check it.
     """
@@ -594,7 +602,7 @@ def _rc_element_walk(
     for coeffs, mat in elements:
         if not any(coeffs):
             continue
-        for a in left_kernel_rows(f, mat.entries, n, ncols):
+        for a in _left_kernel(f, mat.entries, n, ncols):
             for row in _constraint_rows_for(space, coeffs, a, stride):
                 if not any(row):
                     continue
@@ -947,24 +955,21 @@ def linear_rc_space(rc: MapSpace) -> MapSpace:
 # quotients and products of maps
 
 
-def quotient_map(f_map: AdditiveMap, w: SubspaceBasis) -> AdditiveMap:
-    """Push F down to the quotient space {P s : s in S}, P projecting along w.
+def quotient_map(f_map: AdditiveMap, w: SubspaceBasis, p_mat: Matrix | None = None) -> AdditiveMap:
+    """Push F down to the quotient space {P s : s in S}, P projecting along w
+    (quotient_projection(S, w) unless the caller passes it).
 
     Raises IllDefined unless F maps {s in S : P s = 0} into the kernel of P,
     which is exactly when G(P s) = P F(s) defines a map.
     """
     space = f_map.domain
     f = space.ambient.field
-    amb = space.ambient
-    p_mat = quotient_projection(space, w)
-    q_space = quotient_space(space, w)
-    q_amb = q_space.ambient
+    p_mat = quotient_projection(space, w) if p_mat is None else p_mat
+    q_space = quotient_space(space, w, p_mat)
     # K-linear projection phi : coords(S) -> coords(Q), columns phi(b_i)
-    images = [
-        encode(q_amb, p_mat.matmul(decode(amb, b))) for b in space.basis.vectors
-    ]
-    d = space.dim
-    phi_cols = matrix_from_rows(f, images).transpose() if images else Matrix(f, q_amb.dim, 0, ())
+    table = projection_table(space.ambient, p_mat)
+    images = [table.mat_vec(b) for b in space.basis.vectors]
+    phi_cols = matrix_from_rows(f, images).transpose() if images else Matrix(f, table.rows, 0, ())
     # well-definedness on the kernel of phi within S
     for gamma in kernel_basis(phi_cols).vectors:
         if any(any(p_mat.mat_vec(v)) for v in _values_on_line(f_map, gamma)):

@@ -14,14 +14,14 @@ import os
 import random
 import time
 from dataclasses import dataclass
-from functools import partial
-from itertools import product
+from functools import lru_cache, partial
+from itertools import combinations, product
 from multiprocessing import get_context
 
 from . import __version__
 from .errors import BadParams, EnumerationCapExceeded, IllDefined
 from .field import FieldSpec, parse_field_label
-from .linalg import Matrix, SubspaceBasis, kernel_basis, matrix_from_rows
+from .linalg import Gf2Accumulator, Matrix, SubspaceBasis, kernel_basis, matrix_from_rows
 from .opspace import (
     Ambient,
     KIND_ALT,
@@ -40,12 +40,14 @@ from .opspace import (
     congruent,
     count_subspaces,
     decode,  # not called here: perfbench/tracer.py wraps verify.decode
-    dual_rref_rows,
+    dual_rref_rows,  # not called here: perfbench/tracer.py wraps verify.dual_rref_rows
     encode,
     enumerate_subspaces_up_to,
     full_space,
+    projection_table,
     quotient_projection,
     restricted_part,
+    rref_rows,
     side_by_side,
     space_from_coords,
     space_to_json,
@@ -470,12 +472,7 @@ def run_alt_optimality(cap: int | None = None, jobs: int = 1) -> VerificationRep
 
 def line_reps(field: FieldSpec, n: int) -> list[tuple[int, ...]]:
     """Canonical representatives of the lines of K^n: first nonzero entry 1."""
-    out = []
-    for vec in product(range(field.q), repeat=n):
-        lead = next((c for c in vec if c), None)
-        if lead == 1:
-            out.append(vec)
-    return out
+    return [v for v in product(range(field.q), repeat=n) if next((c for c in v if c), 0) == 1]
 
 
 def _rank1_candidates(field: FieldSpec, n: int):
@@ -484,20 +481,16 @@ def _rank1_candidates(field: FieldSpec, n: int):
     rows = []
     for x in line_reps(field, n):
         for c in range(1, field.q):
-            entries = [
-                field.mul(c, field.mul(x[i], x[j])) for i in range(n) for j in range(n)
-            ]
-            rows.append(encode(amb, Matrix(field, n, n, tuple(entries))))
+            entries = tuple(field.mul(c, field.mul(a, b)) for a in x for b in x)
+            rows.append(encode(amb, Matrix(field, n, n, entries)))
     return rows
 
 
 def _orthogonal_masks(field: FieldSpec, cand, rows) -> dict[tuple[int, ...], int]:
-    """For each distinct annihilator row, a bitmask whose bit t is set when
-    candidate t is orthogonal to the row."""
+    """For each row, a bitmask whose bit t is set when candidate t is
+    orthogonal to the row."""
     masks = {}
     for row in rows:
-        if row in masks:
-            continue
         mask = 0
         for t, vec in enumerate(cand):
             acc = 0
@@ -516,17 +509,23 @@ def _gap_count(field: FieldSpec, n: int, masks, ann_rows) -> int:
 
     ANDing the rows' orthogonality masks leaves the candidates inside the
     subspace.  The candidates come in runs of q-1, one run per line (see
-    `_rank1_candidates`), and a line is a gap when its whole run is clear.
+    `_rank1_candidates`), and a line is a gap when its whole run is clear:
+    ORing the mask shifted down by 1..q-2 folds each run onto its first bit,
+    and the first bits still set count the lines that are not gaps.
     Every nonzero multiple of x x^T is tested, not only x x^T itself, so the
     count follows the lemma as stated and does not lean on the subspace being
     closed under scalars; with masks the extra candidates cost one bit each.
     """
     scalars = field.q - 1
-    run = (1 << scalars) - 1
-    in_w = -1
+    full = (1 << (field.q**n - 1)) - 1
+    in_w = full
     for row in ann_rows:
         in_w &= masks[row]
-    return sum(1 for t in range(0, field.q**n - 1, scalars) if not (in_w >> t) & run)
+    hit = in_w
+    for s in range(1, scalars):
+        hit |= in_w >> s
+    # full // (2^(q-1) - 1) has the first bit of every run set
+    return full.bit_length() // scalars - (hit & full // ((1 << scalars) - 1)).bit_count()
 
 
 def _rank1_case(field: FieldSpec, n: int, masks, ann_rows) -> list[dict]:
@@ -538,6 +537,11 @@ def _rank1_case(field: FieldSpec, n: int, masks, ann_rows) -> list[dict]:
     return [_failure(space, None, f"only {gaps} gap line(s); expected at least 2")]
 
 
+def _rank1_pivot_set(field: FieldSpec, n: int, masks, pivots) -> list[list[dict]]:
+    """The cases whose annihilator has these pivots, in rref_rows order."""
+    return [_rank1_case(field, n, masks, r) for r in rref_rows(field, n * (n + 1) // 2, pivots)]
+
+
 def run_rank1_gaps(
     field: FieldSpec, n: int = 3, cap: int | None = None, jobs: int = 1
 ) -> VerificationReport:
@@ -545,9 +549,11 @@ def run_rank1_gaps(
     from at least two distinct lines of K^n (all scalar multiples of x x^T
     stay outside the subspace).
 
-    The orthogonality of each candidate c x x^T to each distinct annihilator
-    row is computed once, here, as one bitmask per row; the cases then only
-    AND the masks of their rows."""
+    The orthogonality of each candidate c x x^T to each row with leading
+    entry 1, as every annihilator row has, is computed once, here, as one
+    bitmask per row; the cases then only AND the masks of their rows.  Each
+    pool task is one pivot set, in dual_rref_rows order, and returns its
+    cases in rref_rows order, so the flattened results keep that order."""
     if n < 3:
         raise BadParams("the rank-one gap property needs n >= 3")
     cap = element_cap(cap)
@@ -557,16 +563,11 @@ def run_rank1_gaps(
     total = sum(count_subspaces(amb, c) for c in range(1, d + 1))
     if total > cap:
         raise EnumerationCapExceeded(f"{total} proper subspaces exceeds cap {cap}")
-    cases = [
-        tuple(tuple(row) for row in rows)
-        for c in range(1, d + 1)
-        for rows in dual_rref_rows(field, d, c)
-    ]
-    cand = _rank1_candidates(field, n)
-    masks = _orthogonal_masks(field, cand, (row for rows in cases for row in rows))
-    per_case = _map_cases(partial(_rank1_case, field, n, masks), cases, jobs)
+    masks = _orthogonal_masks(field, _rank1_candidates(field, n), line_reps(field, d))
+    pivot_sets = [pivots for c in range(1, d + 1) for pivots in combinations(range(d), c)]
+    per_set = _map_cases(partial(_rank1_pivot_set, field, n, masks), pivot_sets, jobs)
     spec = SuiteSpec("rank1-gaps", field=field.label, n=n, cap=cap)
-    return _finish(spec, per_case, t0)
+    return _finish(spec, [fails for cases in per_set for fails in cases], t0)
 
 
 # ---------------------------------------------------------------------------
@@ -608,6 +609,27 @@ def _t3_orbit(field: FieldSpec, m: int) -> frozenset[SubspaceBasis]:
     return frozenset(seen)
 
 
+@lru_cache(maxsize=64)
+def _line_tables(amb: Ambient) -> tuple:
+    """For each line K x of K^n, in line_reps order: the projection_table of
+    P projecting along it and, in characteristic 2, c times its column t
+    packed with k bits per entry for every t and c, so that sums are XORs."""
+    f = amb.field
+    out = []
+    for x in line_reps(f, amb.nrows):
+        p = quotient_projection(full_space(amb), SubspaceBasis.from_vectors(f, amb.nrows, [x]))
+        table = projection_table(amb, p)
+        packed = None
+        if f.p == 2:
+            cols = (table.col_tuple(t) for t in range(amb.dim))
+            packed = tuple(
+                tuple(sum(f.mul(c, y) << (j * f.k) for j, y in enumerate(col)) for c in range(f.q))
+                for col in cols
+            )
+        out.append((table, packed))
+    return tuple(out)
+
+
 def _good_lines(space: OperatorSpace) -> tuple[int, int]:
     """Count lines K*f of the target whose quotient S mod f has codimension
     at most n-3 inside the self-adjoint operators to the smaller target.
@@ -617,19 +639,33 @@ def _good_lines(space: OperatorSpace) -> tuple[int, int]:
     is (n-1)n/2 + (n-1)(ncols-n+1).  The second return value flags any line
     whose quotient dimension exceeds that bound, which would contradict the
     self-adjoint structure of the quotient.
+
+    The quotient dimension is the rank of the images P b of the basis
+    vectors b, read off the line's projection table.  In characteristic 2
+    the F_2-span of lam P b over the power basis lam is the K-span of the
+    P b, so its F_2-rank is k times the quotient dimension.
     """
     amb = space.ambient
     field = amb.field
     n = amb.nrows
     rect_dim = (n - 1) * amb.ncols
     self_adjoint_dim = (n - 1) * n // 2 + (n - 1) * (amb.ncols - n + 1)
-    count = 0
-    overflow = 0
-    for x in line_reps(field, n):
-        w = SubspaceBasis.from_vectors(field, n, [x])
-        p = quotient_projection(space, w)
-        vecs = [p.matmul(mat).entries for mat in space.basis_matrices()]
-        dim = SubspaceBasis.from_vectors(field, rect_dim, vecs).dim
+    basis = space.basis.vectors
+    # the nonzero (t, lam * b_t) of lam * b, for each b and power-basis lam
+    terms = [[(t, field.mul(lam, c)) for t, c in enumerate(b) if c]
+             for b in basis for lam in field.power_basis]
+    count = overflow = 0
+    for table, packed in _line_tables(amb):
+        if packed is None:
+            dim = SubspaceBasis.from_vectors(field, rect_dim, [table.mat_vec(b) for b in basis]).dim
+        else:
+            acc = Gf2Accumulator(rect_dim * field.k)
+            for term in terms:
+                img = 0
+                for t, c in term:
+                    img ^= packed[t][c]
+                acc.add(img)
+            dim = acc.rank // field.k
         if dim > self_adjoint_dim:
             overflow += 1
         elif self_adjoint_dim - dim <= n - 3:
@@ -638,28 +674,19 @@ def _good_lines(space: OperatorSpace) -> tuple[int, int]:
 
 
 def _good_functional_case(orbits, space: OperatorSpace) -> list[dict]:
-    field = space.ambient.field
     good, overflow = _good_lines(space)
     if overflow:
-        return [
-            _failure(
-                space, None, f"{overflow} quotient(s) larger than the self-adjoint bound"
-            )
-        ]
-    if good >= 2 and field.q != 2:
+        reason = f"{overflow} quotient(s) larger than the self-adjoint bound"
+    elif good < 2:
+        reason = f"only {good} good line(s); expected at least 2"
+    elif space.ambient.field.q != 2 or good >= 3 or space.basis in orbits[space.ambient.m]:
         return []
-    if field.q == 2 and (good >= 3 or (good >= 2 and space.basis in orbits[space.ambient.m])):
-        return []
-    if good < 2:
-        return [_failure(space, None, f"only {good} good line(s); expected at least 2")]
-    return [
-        _failure(
-            space,
-            None,
+    else:
+        reason = (
             f"only {good} good lines over GF(2) and the space is not congruent "
-            "to the t3 block with free tail",
+            "to the t3 block with free tail"
         )
-    ]
+    return [_failure(space, None, reason)]
 
 
 def run_good_functionals(
@@ -671,13 +698,9 @@ def run_good_functionals(
     block with a free tail."""
     cap = element_cap(cap)
     t0 = time.perf_counter()
-    orbits = {}
-    if field.q == 2:
-        orbits = {m: _t3_orbit(field, m) for m in (0, 1)}
-    cases = []
-    for m in (0, 1):
-        amb = Ambient(field, KIND_SYM, 3, m)
-        cases.extend(enumerate_subspaces_up_to(amb, 1, cap=cap))
+    orbits = {m: _t3_orbit(field, m) for m in (0, 1)} if field.q == 2 else {}
+    ambs = [Ambient(field, KIND_SYM, 3, m) for m in (0, 1)]
+    cases = [s for amb in ambs for s in enumerate_subspaces_up_to(amb, 1, cap=cap)]
     per_case = _map_cases(partial(_good_functional_case, orbits), cases, jobs)
     spec = SuiteSpec("good-functionals", field=field.label, n=3, cap=cap)
     return _finish(spec, per_case, t0)
@@ -799,13 +822,13 @@ def _quotient_trial(seed: int, idx: int) -> list[dict]:
                 space, coords_f, "range-compatible map does not decompose row-wise"
             )
         ]
+    p = quotient_projection(space, w)
     try:
-        g_map = quotient_map(f_map, w)
+        g_map = quotient_map(f_map, w, p)
     except IllDefined:
         return [
             _failure(space, coords_f, "quotient of a range-compatible map must be defined")
         ]
-    p = quotient_projection(space, w)
     for _, mat in iter_space_elements(space):
         lhs = evaluate(g_map, p.matmul(mat))
         rhs = p.mat_vec(evaluate(f_map, mat))

@@ -363,6 +363,13 @@ def test_matrix_ops():
         assert a.transpose().transpose() == a
         x = tuple(rng.randrange(field.q) for _ in range(2))
         assert a.matmul(b).mat_vec(x) == a.mat_vec(b.mat_vec(x))
+    # mat_vec reads only the support of x; matmul by x as a column is the
+    # entry-by-entry reference
+    for field in (F2, F3, F4):
+        for rows, cols in ((3, 4), (0, 2), (2, 0), (5, 1)):
+            a = random_matrix(rng, field, rows, cols)
+            x = tuple(rng.randrange(field.q) for _ in range(cols))
+            assert a.mat_vec(x) == a.matmul(Matrix(field, cols, 1, x)).entries
     with pytest.raises(ShapeMismatch):
         zero_matrix(F2, 2, 3).matmul(zero_matrix(F2, 2, 3))
     with pytest.raises(ShapeMismatch):

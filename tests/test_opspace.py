@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import random
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -32,12 +32,16 @@ from rckit.opspace import (
     congruent,
     count_subspaces,
     decode,
+    dual_rref_rows,
     encode,
     enumerate_subspaces,
     enumerate_subspaces_up_to,
     full_space,
+    projection_table,
+    quotient_projection,
     quotient_space,
     restricted_part,
+    rref_rows,
     side_by_side,
     space_from_coords,
     space_from_json,
@@ -50,6 +54,7 @@ from test_linalg import identity_matrix, rank
 F2 = make_field(2)
 F3 = make_field(3)
 F4 = make_field(2, 2)
+F8 = make_field(2, 3)
 
 
 def random_coords(rng, amb):
@@ -426,6 +431,67 @@ def test_quotient_kernel_dimension_identity():
                 if not any(p.matmul(decode(amb, v)).entries):
                     killed += 1
             assert f.q ** (s.dim - q.dim) == killed
+
+
+def _matrix_images(s, p):
+    """The reference images: decode each basis vector, multiply by P and
+    encode the product in the full rows(P) x ncols ambient."""
+    out_amb = Ambient(s.ambient.field, "full", p.rows, s.ambient.ncols)
+    return [encode(out_amb, p.matmul(decode(s.ambient, b))) for b in s.basis.vectors]
+
+
+def _matrix_quotient_space(s, w):
+    """The reference quotient: the span of the matrix-built images."""
+    p = quotient_projection(s, w)
+    out_amb = Ambient(s.ambient.field, "full", p.rows, s.ambient.ncols)
+    return space_from_coords(out_amb, _matrix_images(s, p))
+
+
+@pytest.mark.parametrize("field", [F2, F3, F4, F8], ids=["2", "3", "2^2", "2^3"])
+def test_projection_table_matches_matrix_products(field):
+    # sym and alt ambients with and without tails, and rectangles: every
+    # sign and slot of layout reaches the table
+    rng = random.Random(f"projection:{field.label}")
+    shapes = [("sym", 3, 0), ("sym", 3, 1), ("sym", 2, 2), ("alt", 3, 0), ("alt", 3, 1),
+              ("alt", 4, 1), ("full", 3, 2)]
+    for kind, n, m in shapes:
+        amb = Ambient(field, kind, n, m)
+        for _ in range(6):
+            s = space_from_coords(amb, [random_coords(rng, amb) for _ in range(rng.randrange(5))])
+            w = SubspaceBasis.from_vectors(
+                field, n, [tuple(rng.randrange(field.q) for _ in range(n))
+                           for _ in range(rng.randrange(n + 1))]
+            )
+            p = quotient_projection(s, w)
+            table = projection_table(amb, p)
+            assert [table.mat_vec(b) for b in s.basis.vectors] == _matrix_images(s, p)
+            assert quotient_space(s, w) == _matrix_quotient_space(s, w)
+            assert quotient_space(s, w, p) == _matrix_quotient_space(s, w)
+
+
+def _list_rref_rows(field, dim, rank):
+    """The reference enumeration: every RREF as a list of rows, by pivot
+    combination and then by one odometer over all free entries."""
+    for pivots in combinations(range(dim), rank):
+        free = [(i, col) for i in range(rank) for col in range(pivots[i] + 1, dim)
+                if col not in pivots]
+        for values in product(range(field.q), repeat=len(free)):
+            rows = [[0] * dim for _ in range(rank)]
+            for i, p in enumerate(pivots):
+                rows[i][p] = 1
+            for (i, col), v in zip(free, values):
+                rows[i][col] = v
+            yield rows
+
+
+def test_rref_rows_keep_the_reference_order():
+    for field, dim in ((F2, 6), (F3, 4), (F4, 3)):
+        for rank in range(dim + 1):
+            want = [tuple(map(tuple, rows)) for rows in _list_rref_rows(field, dim, rank)]
+            assert list(dual_rref_rows(field, dim, rank)) == want
+            by_set = [rows for pivots in combinations(range(dim), rank)
+                      for rows in rref_rows(field, dim, pivots)]
+            assert by_set == want
 
 
 def mf_membership(f, r: int, coeffs, mat) -> bool:

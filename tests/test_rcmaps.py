@@ -75,6 +75,7 @@ from rckit.rcmaps import (
     _decoded_generators,
     _gf2_basis_keys,
     _gf2_left_kernel,
+    _left_kernel,
     _naive_rc_maps_generic,
     _naive_rc_maps_gf2,
     _rc_element_walk,
@@ -83,6 +84,7 @@ from rckit.rcmaps import (
 F2 = make_field(2)
 F3 = make_field(3)
 F4 = make_field(2, 2)
+F5 = make_field(5)
 F8 = make_field(2, 3)
 
 
@@ -507,6 +509,22 @@ def test_memoized_gf2_left_kernel_matches_left_kernel_rows():
     for _, mat in iter_space_elements(s):
         key = sum(1 << t for t, x in enumerate(mat.entries) if x)
         assert _same_left_kernel(key, 4, 4)
+
+
+def test_memoized_left_kernel_matches_left_kernel_rows():
+    # odd characteristic, where _rc_element_walk reads it; shapes interleave
+    # so a cache that ignored (n, ncols) or the field would be caught
+    rng = random.Random(5)
+    for _ in range(300):
+        field = rng.choice((F3, F5))
+        n, ncols = rng.choice(((3, 3), (2, 4), (4, 2), (1, 5), (3, 4)))
+        entries = tuple(
+            rng.randrange(field.q) if rng.random() < 0.6 else 0 for _ in range(n * ncols)
+        )
+        for _ in range(2):  # a miss, then a hit
+            got = _left_kernel(field, entries, n, ncols)
+            assert isinstance(got, tuple)
+            assert list(got) == left_kernel_rows(field, entries, n, ncols)
 
 
 def test_gf2_oracle_matches_generic_oracle():

@@ -20,6 +20,7 @@ from rckit.opspace import (
     KIND_ALT,
     KIND_FULL,
     KIND_SYM,
+    OperatorSpace,
     build_full_sym,
     build_sym_block,
     build_t3,
@@ -27,6 +28,7 @@ from rckit.opspace import (
     encode,
     enumerate_subspaces_up_to,
     full_space,
+    quotient_projection,
     side_by_side,
     space_from_json,
 )
@@ -44,6 +46,7 @@ from test_linalg import rank
 F2 = make_field(2)
 F3 = make_field(3)
 F4 = make_field(2, 2)
+F8 = make_field(2, 3)
 
 REPORT_KEYS = {"suite", "casesRun", "passes", "failures", "verdict", "wallTime", "toolVersion"}
 
@@ -200,6 +203,36 @@ def test_lemma_and_admissibility_reports_are_pinned(run, cases, digest):
     # built by padding and slicing matrices, and of the admissibility filter
     # built by intersecting with an annihilator
     rep = run()
+    assert rep.verified and rep.cases_run == cases
+    assert _canonical_sha256(rep) == digest
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize(
+    "run, cases, digest",
+    [
+        (
+            lambda jobs: V.run_rank1_gaps(F2, 3, jobs=jobs),
+            2824,
+            "ef8d46ea3530ee39243b03bb248d881b03fd2c01a8bdc9135f7e1928f2838bd0",
+        ),
+        (
+            lambda jobs: V.run_rank1_gaps(F3, 3, jobs=jobs),
+            56631,
+            "108221e30b722ea39992d32a973ae7cacb07b083650a7490bd6f32ae73bbe9f0",
+        ),
+        (
+            lambda jobs: V.run_good_functionals(F2, jobs=jobs),
+            576,
+            "f0cb0b2f26dd71c815a35213551d45d5d0ea385b1f1c27f0c5ab2f0e94fa9254",
+        ),
+    ],
+    ids=["rank1-f2", "rank1-f3", "good-functionals-f2"],
+)
+def test_rank1_and_good_functional_reports_are_pinned(run, cases, digest, jobs):
+    # the digests are those of the reports from one pool case per
+    # annihilator and of quotients built by decode, matmul and echelon form
+    rep = run(jobs)
     assert rep.verified and rep.cases_run == cases
     assert _canonical_sha256(rep) == digest
 
@@ -379,8 +412,8 @@ def test_rank1_gap_masks_match_kernel_membership():
         (F3, [_random_rref(F3, d, rng) for _ in range(300)]),
         (F4, [_random_rref(F4, d, rng) for _ in range(300)]),
     ):
-        cand = V._rank1_candidates(field, 3)
-        masks = V._orthogonal_masks(field, cand, (row for rows in cases for row in rows))
+        # as run_rank1_gaps builds them: one mask per row with leading entry 1
+        masks = V._orthogonal_masks(field, V._rank1_candidates(field, 3), V.line_reps(field, d))
         for rows in cases:
             assert V._gap_count(field, 3, masks, rows) == _slow_gap_count(field, 3, rows)
 
@@ -409,6 +442,43 @@ def test_good_functional_suite_and_good_line_counter():
     assert rep.verified and rep.cases_run == (1 + 63) + (1 + 511)
     good, overflow = V._good_lines(build_full_sym(F2, 3))
     assert (good, overflow) == (7, 0)
+
+
+def _matrix_good_lines(space):
+    """The reference good-line count: for each line, P from
+    quotient_projection, each basis vector decoded and multiplied by P, and
+    the quotient dimension from the echelon form of the products."""
+    amb = space.ambient
+    field, n = amb.field, amb.nrows
+    rect_dim = (n - 1) * amb.ncols
+    self_adjoint_dim = (n - 1) * n // 2 + (n - 1) * (amb.ncols - n + 1)
+    count = overflow = 0
+    for x in V.line_reps(field, n):
+        p = quotient_projection(space, SubspaceBasis.from_vectors(field, n, [x]))
+        vecs = [p.matmul(mat).entries for mat in space.basis_matrices()]
+        dim = SubspaceBasis.from_vectors(field, rect_dim, vecs).dim
+        if dim > self_adjoint_dim:
+            overflow += 1
+        elif self_adjoint_dim - dim <= n - 3:
+            count += 1
+    return count, overflow
+
+
+def test_good_lines_match_the_matrix_reference():
+    # every case of good-functionals over F_2, then the full spaces and
+    # seeded samples of the codim-1 cases over F_3, F_4 and F_8
+    for m in (0, 1):
+        for s in enumerate_subspaces_up_to(Ambient(F2, KIND_SYM, 3, m), 1):
+            assert V._good_lines(s) == _matrix_good_lines(s)
+    rng = random.Random(11)
+    for field in (F3, F4, F8):
+        for m in (0, 1):
+            amb = Ambient(field, KIND_SYM, 3, m)
+            assert V._good_lines(full_space(amb)) == _matrix_good_lines(full_space(amb))
+            for _ in range(40):
+                row = _random_rref(field, amb.dim, rng)[0]
+                s = OperatorSpace(amb, kernel_basis(matrix_from_rows(field, [row])))
+                assert V._good_lines(s) == _matrix_good_lines(s)
 
 
 def test_good_line_counts_match_t3_orbit():
