@@ -21,7 +21,14 @@ from multiprocessing import get_context
 from . import __version__
 from .errors import BadParams, EnumerationCapExceeded, IllDefined
 from .field import FieldSpec, parse_field_label
-from .linalg import Gf2Accumulator, Matrix, SubspaceBasis, kernel_basis, matrix_from_rows
+from .linalg import (
+    Gf2Accumulator,
+    Matrix,
+    SubspaceBasis,
+    echelonize,
+    kernel_basis,
+    matrix_from_rows,
+)
 from .opspace import (
     Ambient,
     KIND_ALT,
@@ -39,8 +46,8 @@ from .opspace import (
     build_u2_block,
     congruent,
     count_subspaces,
-    decode,  # not called here: perfbench/tracer.py wraps verify.decode
-    dual_rref_rows,  # not called here: perfbench/tracer.py wraps verify.dual_rref_rows
+    decode,
+    dual_rref_rows,
     encode,
     enumerate_subspaces_up_to,
     full_space,
@@ -221,6 +228,146 @@ def _local_class_case(cap: int, space: OperatorSpace) -> list[dict]:
 
 
 # ---------------------------------------------------------------------------
+# congruence classes of the class-suite cases
+
+
+def _gl_generators(f: FieldSpec, k: int) -> list[list[list[int]]]:
+    """The rows of I + E_01 and of the k-cycle (k >= 2) and of
+    diag(w, 1, ..., 1) for a primitive w (q > 2), which generate GL_k(K)."""
+    eye = [[int(i == j) for j in range(k)] for i in range(k)]
+    gens = [[[1, 1] + eye[0][2:]] + eye[1:], eye[1:] + eye[:1]] if k >= 2 else []
+    if f.q > 2 and k:
+        for w in range(2, f.q):
+            x, order = w, 1
+            while x != 1:
+                x, order = f.mul(x, w), order + 1
+            if order == f.q - 1:
+                gens.append([[w] + eye[0][1:]] + eye[1:])
+                break
+    return gens
+
+
+def _moves(amb: Ambient) -> list[tuple[Matrix, Matrix]]:
+    """The pairs (L, R) of the moves M -> L M R that _run_class_suite unites
+    cases by: (Q^T, diag(Q, I_m)) on sym and alt, (P, I_m) and (I_n, Q) on
+    rectangles, for P and Q from _gl_generators."""
+    f, n, m = amb.field, amb.n, amb.m
+    eye = lambda k: SubspaceBasis.full(f, k).vectors
+    if amb.kind == KIND_FULL:
+        rows = [(matrix_from_rows(f, p), matrix_from_rows(f, eye(m))) for p in _gl_generators(f, n)]
+        cols = [(matrix_from_rows(f, eye(n)), matrix_from_rows(f, q)) for q in _gl_generators(f, m)]
+        return rows + cols
+    pad = [[0] * n + list(e) for e in eye(m)]
+    return [
+        (matrix_from_rows(f, q).transpose(), matrix_from_rows(f, [r + [0] * m for r in q] + pad))
+        for q in _gl_generators(f, n)
+    ]
+
+
+def _pack_rows(rows, bits: int) -> int:
+    """Annihilator rows packed into one int, bits per entry, row-major from
+    bit 0: the key of a case.  The last row is nonzero, so keys of different
+    codimensions differ."""
+    key = shift = 0
+    for row in rows:
+        for x in row:
+            key |= x << shift
+            shift += bits
+    return key
+
+
+def _key_rows(key: int, d: int, bits: int) -> list[tuple[int, ...]]:
+    """Inverse of _pack_rows for rows of length d."""
+    mask = (1 << bits) - 1
+    rows = []
+    while key:
+        rows.append(tuple(key >> (j * bits) & mask for j in range(d)))
+        key >>= d * bits
+    return rows
+
+
+def _case_space(amb: Ambient, key: int) -> OperatorSpace:
+    """The case keyed by key, built as enumerate_subspaces builds it."""
+    rows = _key_rows(key, amb.dim, (amb.field.q - 1).bit_length())
+    return OperatorSpace(amb, kernel_basis(Matrix(amb.field, len(rows), amb.dim, sum(rows, ()))))
+
+
+def _image_keys(amb: Ambient):
+    """The function taking a case's key to the keys of its images under
+    _moves(amb), in that order.
+
+    For a move M -> L M R, row u of the matrix C holds the coordinates of
+    L E_u R, E_u the matrix with coordinates e_u.  An annihilator row a of S
+    goes to C.mat_vec(a), the functional M -> a(L M R), so the images of
+    the rows span the annihilator of L^-1 S R^-1, and their echelon form is
+    its key.  Over F_2 a row is a packed int, and C.mat_vec(a) the XOR of
+    the packed columns of C at the bits of a."""
+    f, d = amb.field, amb.dim
+    units = SubspaceBasis.full(f, d).vectors
+    tables = [
+        matrix_from_rows(f, [encode(amb, left.matmul(decode(amb, e)).matmul(right)) for e in units])
+        for left, right in _moves(amb)
+    ]
+    if f.q != 2:
+        bits = (f.q - 1).bit_length()
+        return lambda key: [
+            _pack_rows(echelonize(f, [c.mat_vec(a) for a in _key_rows(key, d, bits)], d)[0], bits)
+            for c in tables
+        ]
+    packed = [[_pack_rows([c.col_tuple(t)], 1) for t in range(d)] for c in tables]
+    full = (1 << d) - 1
+
+    def images(key: int) -> list[int]:
+        out = []
+        for cols in packed:
+            acc = Gf2Accumulator(d)
+            rest = key
+            while rest:
+                a, rest = rest & full, rest >> d
+                row = 0
+                while a:
+                    low = a & -a
+                    row ^= cols[low.bit_length() - 1]
+                    a ^= low
+                acc.add(row)
+            out.append(sum(r << (i * d) for i, r in enumerate(acc.rows_pivots()[0])))
+        return out
+
+    return images
+
+
+def _congruence_classes(amb: Ambient, codim: int, cap: int) -> tuple[list[int], list[list[int]]]:
+    """The keys of the subspaces of amb of codimension <= codim, in
+    enumeration order, and their classes under the moves as lists of
+    indices into the keys, each class ascending and the classes in the order
+    of their first members."""
+    total = sum(count_subspaces(amb, c) for c in range(codim + 1))
+    if total > cap:
+        raise EnumerationCapExceeded(f"{total} subspaces exceeds cap {cap}")
+    f, d = amb.field, amb.dim
+    bits = (f.q - 1).bit_length()
+    keys = [_pack_rows(rows, bits) for c in range(codim + 1) for rows in dual_rref_rows(f, d, c)]
+    index = {k: i for i, k in enumerate(keys)}
+    parent = list(range(len(keys)))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        return i
+
+    images = _image_keys(amb)
+    for i, key in enumerate(keys):
+        for image in images(key):
+            a, b = find(i), find(index[image])
+            if a != b:  # the smaller index stays the root
+                parent[max(a, b)] = min(a, b)
+    classes: dict[int, list[int]] = {}
+    for i in range(len(keys)):
+        classes.setdefault(find(i), []).append(i)
+    return keys, list(classes.values())
+
+
+# ---------------------------------------------------------------------------
 # main classification suites
 
 
@@ -235,7 +382,29 @@ def _run_class_suite(
 ) -> VerificationReport:
     """The shared body of the class suites: every subspace of amb with
     codimension <= codim (default and bound n-2) that passes admissible is
-    one case of case(cap, space)."""
+    one case of case(cap, space), solved once per congruence class.
+
+    _congruence_classes unites the cases under the moves M -> L M R of
+    _moves: [A | R] -> [Q^T A Q | Q^T R] on sym and alt, s -> P s and
+    s -> s Q on rectangles, with Q and P each I + E_01, the cycle, or (q > 2)
+    diag(w, 1, ..., 1).  The first case of each class is solved (and alone
+    tested for admissible).  When it passes, every member passes; when it
+    fails, every member is solved on its own, so the failures come out in
+    the order and form a case-by-case run gives them.
+
+    Soundness.  For invertible Q and S' = {Q^T M D : M in S}, D = diag(Q, I_m),
+    F -> F' with F'(Q^T M D) = Q^T F(M) is a bijection between the additive
+    maps on S and on S'.  Im(Q^T M D) = Q^T Im(M), so it keeps range
+    compatibility; M -> M x goes to M' -> M' D^-1 x, so it keeps locality;
+    and in characteristic 2, diag(Q^T A Q)_i = sum_j Q_ji^2 A_jj for
+    symmetric A (the cross terms pair up), so the entrywise square root of
+    the diagonal moves linearly, sqrt diag(Q^T A Q) = Q^T sqrt diag(A), and
+    diagonal root-linear maps go to diagonal root-linear maps.  Rectangles
+    follow from Im(P s Q) = P Im(s).  The codimension and the part with zero
+    tail move along too, so the case functions and admissible give one
+    answer on a whole class.  A missing move would only split a class into
+    several, which costs time but never soundness.
+    """
     n = amb.n
     if codim is None:
         codim = n - 2
@@ -243,10 +412,16 @@ def _run_class_suite(
         raise BadParams(f"codimension bound {codim} outside the admissible range 0..{n - 2}")
     cap = element_cap(cap)
     t0 = time.perf_counter()
-    cases = enumerate_subspaces_up_to(amb, codim, cap=cap)
+    keys, classes = _congruence_classes(amb, codim, cap)
+    groups = [(members, _case_space(amb, keys[members[0]])) for members in classes]
     if admissible is not None:
-        cases = filter(admissible, cases)
-    per_case = _map_cases(partial(case, cap), list(cases), jobs)
+        groups = [(members, s) for members, s in groups if admissible(s)]
+    worker = partial(case, cap)
+    first = _map_cases(worker, [s for _, s in groups], jobs)
+    redo = sorted(i for (members, _), fails in zip(groups, first) if fails for i in members)
+    per_case = _map_cases(worker, [_case_space(amb, keys[i]) for i in redo], jobs)
+    # the members of passing classes, one empty failure list each
+    per_case += [[]] * (sum(len(members) for members, _ in groups) - len(redo))
     spec = SuiteSpec(suite, field=amb.field.label, n=n, m=amb.m, codim=codim, cap=cap)
     return _finish(spec, per_case, t0)
 

@@ -1,0 +1,240 @@
+"""The class suites solve one case per congruence class.
+
+These tests check the partition against congruences computed directly, and
+the reports against the driver that solves every case on its own, kept here
+as the reference."""
+
+from __future__ import annotations
+
+import json
+import time
+from functools import partial
+from itertools import product
+
+import pytest
+
+from rckit import verify as V
+from rckit.cli import main
+from rckit.errors import BadParams
+from rckit.field import make_field
+from rckit.linalg import matrix_from_rows
+from rckit.opspace import (
+    Ambient,
+    KIND_ALT,
+    KIND_FULL,
+    KIND_SYM,
+    congruent,
+    count_subspaces,
+    enumerate_subspaces_up_to,
+    restricted_part,
+    space_from_matrices,
+)
+from rckit.rcmaps import element_cap
+
+from test_linalg import rank
+
+F2 = make_field(2)
+F3 = make_field(3)
+F4 = make_field(2, 2)
+
+
+def _per_case_suite(suite, amb, case, codim, cap, jobs, admissible=None):
+    """The class-suite driver that solves every case on its own."""
+    n = amb.n
+    if codim is None:
+        codim = n - 2
+    if not 0 <= codim <= n - 2:
+        raise BadParams(f"codimension bound {codim} outside the admissible range 0..{n - 2}")
+    cap = element_cap(cap)
+    t0 = time.perf_counter()
+    cases = enumerate_subspaces_up_to(amb, codim, cap=cap)
+    if admissible is not None:
+        cases = filter(admissible, cases)
+    per_case = V._map_cases(partial(case, cap), list(cases), jobs)
+    spec = V.SuiteSpec(suite, field=amb.field.label, n=n, m=amb.m, codim=codim, cap=cap)
+    return V._finish(spec, per_case, t0)
+
+
+def _canonical(report) -> str:
+    obj = report.to_json()
+    del obj["wallTime"]
+    return json.dumps(obj, sort_keys=True)
+
+
+def _both(monkeypatch, run):
+    """The report of run() from the class driver, then from the reference."""
+    new = run()
+    with monkeypatch.context() as m:
+        m.setattr(V, "_run_class_suite", _per_case_suite)
+        ref = run()
+    return new, ref
+
+
+# ---------------------------------------------------------------------------
+# the partition
+
+
+def _move_image(amb, left, right, space):
+    """{L M R : M in space}, by matrix products."""
+    if amb.kind == KIND_FULL:
+        mats = [left.matmul(m).matmul(right) for m in space.basis_matrices()]
+        return space_from_matrices(amb, mats)
+    return congruent(space, left.transpose())
+
+
+PARTITIONS = [
+    (Ambient(F2, KIND_SYM, 3, 0), 1),
+    (Ambient(F2, KIND_SYM, 4, 0), 1),
+    (Ambient(F3, KIND_SYM, 3, 0), 1),
+    (Ambient(F4, KIND_SYM, 2, 1), 1),
+    (Ambient(F2, KIND_ALT, 4, 1), 1),
+    (Ambient(F2, KIND_FULL, 3, 2), 2),
+]
+PARTITION_IDS = ["sym3-f2", "sym4-f2", "sym3-f3", "sym2x1-f4", "alt4x1-f2", "rect3x2-f2"]
+
+
+@pytest.mark.parametrize("amb, codim", PARTITIONS, ids=PARTITION_IDS)
+def test_every_union_edge_is_a_congruence(amb, codim):
+    # the image key of S under the move M -> L M R is the annihilator of
+    # L^-1 S R^-1, so L M R maps the image's space back onto S; on sym and
+    # alt that is congruent(image, Q) with L = Q^T
+    keys, classes = V._congruence_classes(amb, codim, 1 << 20)
+    spaces = [V._case_space(amb, k) for k in keys]
+    assert spaces == list(enumerate_subspaces_up_to(amb, codim))
+    index = {k: i for i, k in enumerate(keys)}
+    cls = {i: c for c, members in enumerate(classes) for i in members}
+    moves = V._moves(amb)
+    images = V._image_keys(amb)
+    for i, key in enumerate(keys):
+        for (left, right), image in zip(moves, images(key)):
+            assert _move_image(amb, left, right, spaces[index[image]]) == spaces[i]
+            assert cls[index[image]] == cls[i]
+
+
+@pytest.mark.parametrize("amb, codim", PARTITIONS, ids=PARTITION_IDS)
+def test_class_sizes_sum_to_the_subspace_counts(amb, codim):
+    keys, classes = V._congruence_classes(amb, codim, 1 << 20)
+    assert sorted(i for members in classes for i in members) == list(range(len(keys)))
+    assert [members[0] for members in classes] == sorted(members[0] for members in classes)
+    per_codim = [0] * (codim + 1)
+    for members in classes:
+        dims = {V._case_space(amb, keys[i]).codim for i in members}
+        assert len(dims) == 1 and members == sorted(members)
+        per_codim[dims.pop()] += len(members)
+    assert per_codim == [count_subspaces(amb, c) for c in range(codim + 1)]
+
+
+def _general_linear(f, k):
+    mats = (matrix_from_rows(f, [e[i * k:(i + 1) * k] for i in range(k)])
+            for e in product(range(f.q), repeat=k * k))
+    return [q for q in mats if rank(q) == k]
+
+
+@pytest.mark.parametrize(
+    "amb, classes",
+    [(Ambient(F2, KIND_SYM, 3, 0), 5), (Ambient(F4, KIND_SYM, 2, 1), 10)],
+    ids=["sym3-f2", "sym2x1-f4"],
+)
+def test_classes_are_the_whole_congruence_orbits(amb, classes):
+    # the moves generate GL_n: each class is a full orbit, not a piece of one
+    keys, got = V._congruence_classes(amb, 1, 1 << 20)
+    group = _general_linear(amb.field, amb.n)
+    assert len(got) == classes
+    for members in got:
+        rep = V._case_space(amb, keys[members[0]])
+        orbit = {congruent(rep, q).basis for q in group}
+        assert orbit == {V._case_space(amb, keys[i]).basis for i in members}
+
+
+@pytest.mark.parametrize(
+    "amb, codim, classes",
+    [
+        (Ambient(F2, KIND_SYM, 4, 0), 1, 7),
+        (Ambient(F3, KIND_SYM, 3, 0), 1, 5),
+        (Ambient(F2, KIND_ALT, 5, 0), 1, 3),
+    ],
+    ids=["sym4-f2", "sym3-f3", "alt5-f2"],
+)
+def test_class_counts(amb, codim, classes):
+    assert len(V._congruence_classes(amb, codim, 1 << 20)[1]) == classes
+
+
+# ---------------------------------------------------------------------------
+# reports against the per-case reference
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda jobs: V.run_sym_main(F2, 4, codim=1, jobs=jobs),
+        lambda jobs: V.run_sym_main(F3, 3, jobs=jobs),
+        lambda jobs: V.run_sym_main(F4, 3, jobs=jobs),
+        lambda jobs: V.run_alt_main(F2, 4, m=1, codim=1, jobs=jobs),
+        lambda jobs: V.run_alt_main(F3, 3, m=1, jobs=jobs),
+        lambda jobs: V.run_alt_main(F4, 3, m=1, jobs=jobs),
+        lambda jobs: V.run_rect_group(F2, 3, 2, codim=1, jobs=jobs),
+        lambda jobs: V.run_rect_group(F3, 3, 2, codim=1, jobs=jobs),
+        lambda jobs: V.run_rect_group(F4, 3, 1, codim=1, jobs=jobs),
+    ],
+    ids=[
+        "sym4c1-f2", "sym3-f3", "sym3-f4", "alt4x1c1-f2", "alt3x1-f3", "alt3x1-f4",
+        "rect3x2-f2", "rect3x2-f3", "rect3x1-f4",
+    ],
+)
+def test_class_driver_matches_the_per_case_reference(monkeypatch, run, jobs):
+    # the digests of these reports are pinned in test_verify.py
+    new, ref = _both(monkeypatch, partial(run, jobs))
+    assert new.verified
+    assert _canonical(new) == _canonical(ref)
+
+
+def _fails_on_hyperplanes(cap, space):
+    return [V._failure(space, None, "codimension one")] if space.codim == 1 else []
+
+
+def _fails_on_tight_restricted_part(cap, space):
+    # congruence-invariant, and true on some classes of codimension one only;
+    # two failures per case, so their order within a case is checked too
+    if restricted_part(space).codim == 1:
+        return [V._failure(space, None, "restricted part"), V._failure(space, None, "twice")]
+    return []
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize(
+    "name, predicate, run",
+    [
+        ("_standard_class_case", _fails_on_hyperplanes, partial(V.run_sym_main, F2, 4, codim=1)),
+        (
+            "_local_class_case",
+            _fails_on_tight_restricted_part,
+            partial(V.run_alt_main, F2, 4, m=1, codim=1),
+        ),
+        ("_local_class_case", _fails_on_hyperplanes, partial(V.run_alt_main, F2, 3, m=2, codim=1)),
+        ("_local_class_case", _fails_on_hyperplanes, partial(V.run_rect_group, F3, 3, 2, codim=1)),
+    ],
+    ids=["sym4-f2", "alt4x1-f2", "alt3x2-f2", "rect3x2-f3"],
+)
+def test_failing_classes_report_every_member(monkeypatch, name, predicate, run, jobs):
+    monkeypatch.setattr(V, name, predicate)
+    new, ref = _both(monkeypatch, partial(run, jobs=jobs))
+    assert not new.verified and 0 < new.passes < new.cases_run
+    assert _canonical(new) == _canonical(ref)
+
+
+@pytest.mark.parametrize(
+    "cap, message",
+    [
+        ("400", "error: 729 elements exceeds cap 400"),
+        ("100", "error: 365 subspaces exceeds cap 100"),
+    ],
+)
+def test_small_caps_exit_2_with_the_reference_message(monkeypatch, capsys, cap, message):
+    argv = ["verify", "--suite", "sym-main", "--field", "3", "--n", "3", "--cap", cap]
+    assert main(argv) == 2
+    got = capsys.readouterr().err
+    monkeypatch.setattr(V, "_run_class_suite", _per_case_suite)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == got
+    assert got.strip() == message

@@ -160,13 +160,35 @@ def test_gf4_class_suite_reports_are_pinned(run, cases, digest):
             1024,
             "8a6f4be24ebd535bb7a8d404c0c321c5b312081cddbfba39253d7eff6527bf8d",
         ),
+        (
+            lambda: V.run_alt_main(F2, 4, m=1, codim=1),
+            1024,
+            "5a3a6aca7b478420921a9b93e1bd1ea1683e2e42798368ee8223fdb0943ba653",
+        ),
+        (
+            lambda: V.run_alt_main(F4, 3, m=1),
+            22,
+            "dae574f4df1ea9031f77a8ca098974edab4d3d5660c88644fccec5a8515d8b05",
+        ),
+        (
+            lambda: V.run_rect_group(F2, 3, 2, codim=1),
+            64,
+            "ead96d66b30cf0ee1da568a7d2afb3d82f6686411ddd1c5ef84c7d5566c5e1ec",
+        ),
+        (
+            lambda: V.run_rect_group(F3, 3, 2, codim=1),
+            365,
+            "96ec9a1e3a91f8c2c35fd5333505ba6aa1a421ab2f6a4897c5d0367ac8a0a3f1",
+        ),
     ],
-    ids=["sym4c1-f2", "sym3-f3", "alt5c1-f2"],
+    ids=["sym4c1-f2", "sym3-f3", "alt5c1-f2", "alt4x1c1-f2", "alt3x1-f4", "rect3x2-f2", "rect3x2-f3"],
 )
 def test_certified_class_suite_reports_are_pinned(run, cases, digest):
     # the digests are those of the walks in Gray or odometer order alone,
     # which the low-weight prefix must reproduce byte for byte (apart from
-    # wallTime): over F_2, over F_3 and with the alternating local target
+    # wallTime): over F_2, over F_3 and with the alternating local target;
+    # the last four are those of the driver that solved every case on its
+    # own, which the one solve per congruence class must reproduce too
     rep = run()
     assert rep.verified and rep.cases_run == cases
     assert _canonical_sha256(rep) == digest
