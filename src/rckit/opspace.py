@@ -236,22 +236,6 @@ def side_by_side(a: OperatorSpace, b: OperatorSpace) -> OperatorSpace:
     return space_from_coords(amb, vecs, product_of=(a, b))
 
 
-def congruent(s: OperatorSpace, q: Matrix) -> OperatorSpace:
-    """The space of Q^T M diag(Q, I_m) = [Q^T A Q | Q^T R] over M = [A | R]
-    in s, for an n x n matrix Q; a congruence of s when Q is invertible."""
-    amb = s.ambient
-    if amb.kind == KIND_FULL:
-        raise AmbientMismatch("congruence needs a sym or alt ambient")
-    n, m = amb.n, amb.m
-    right = matrix_from_rows(
-        amb.field,
-        [list(q.row_tuple(i)) + [0] * m for i in range(n)]
-        + [[0] * n + [int(j == i) for j in range(m)] for i in range(m)],
-    )
-    qt = q.transpose()
-    return space_from_matrices(amb, [qt.matmul(a).matmul(right) for a in s.basis_matrices()])
-
-
 def restricted_part(s: OperatorSpace) -> OperatorSpace:
     """Matrices of s whose tail vanishes, viewed in the tailless ambient: the
     rows of s echelonized tail first whose pivot falls in the block."""

@@ -44,12 +44,11 @@ from .opspace import (
     build_sym_block,
     build_t3,
     build_u2_block,
-    congruent,
     count_subspaces,
     decode,
     dual_rref_rows,
     encode,
-    enumerate_subspaces_up_to,
+    enumerate_subspaces_up_to,  # not called: perfbench/tracer.py patches verify's name
     full_space,
     projection_table,
     quotient_projection,
@@ -248,9 +247,9 @@ def _gl_generators(f: FieldSpec, k: int) -> list[list[list[int]]]:
 
 
 def _moves(amb: Ambient) -> list[tuple[Matrix, Matrix]]:
-    """The pairs (L, R) of the moves M -> L M R that _run_class_suite unites
-    cases by: (Q^T, diag(Q, I_m)) on sym and alt, (P, I_m) and (I_n, Q) on
-    rectangles, for P and Q from _gl_generators."""
+    """The pairs (L, R) of the moves M -> L M R that _congruence_classes
+    unites cases by: (Q^T, diag(Q, I_m)) on sym and alt, (P, I_m) and
+    (I_n, Q) on rectangles, for P and Q from _gl_generators."""
     f, n, m = amb.field, amb.n, amb.m
     eye = lambda k: SubspaceBasis.full(f, k).vectors
     if amb.kind == KIND_FULL:
@@ -371,6 +370,29 @@ def _congruence_classes(amb: Ambient, codim: int, cap: int) -> tuple[list[int], 
 # main classification suites
 
 
+def _solve_classes(worker, parts, jobs: int, admissible=None) -> list[list[dict]]:
+    """The failure lists of the cases of parts, a list of (amb, keys, classes)
+    from _congruence_classes, solved once per congruence class.
+
+    The first case of each class is solved (and alone tested for
+    admissible), the classes of every part through one _map_cases call.
+    When it passes, every member passes; when it fails, every member is
+    solved on its own, part by part in enumeration order, so the failures
+    come out in the order and form a case-by-case run gives them.  Passing
+    members follow, one empty failure list each."""
+    reps = [
+        (p, members, _case_space(amb, keys[members[0]]))
+        for p, (amb, keys, classes) in enumerate(parts)
+        for members in classes
+    ]
+    if admissible is not None:
+        reps = [rep for rep in reps if admissible(rep[2])]
+    first = _map_cases(worker, [s for _, _, s in reps], jobs)
+    redo = sorted((p, i) for (p, members, _), fails in zip(reps, first) if fails for i in members)
+    per_case = _map_cases(worker, [_case_space(parts[p][0], parts[p][1][i]) for p, i in redo], jobs)
+    return per_case + [[]] * (sum(len(members) for _, members, _ in reps) - len(redo))
+
+
 def _run_class_suite(
     suite: str,
     amb: Ambient,
@@ -382,15 +404,13 @@ def _run_class_suite(
 ) -> VerificationReport:
     """The shared body of the class suites: every subspace of amb with
     codimension <= codim (default and bound n-2) that passes admissible is
-    one case of case(cap, space), solved once per congruence class.
+    one case of case(cap, space), solved once per congruence class by
+    _solve_classes.
 
     _congruence_classes unites the cases under the moves M -> L M R of
     _moves: [A | R] -> [Q^T A Q | Q^T R] on sym and alt, s -> P s and
     s -> s Q on rectangles, with Q and P each I + E_01, the cycle, or (q > 2)
-    diag(w, 1, ..., 1).  The first case of each class is solved (and alone
-    tested for admissible).  When it passes, every member passes; when it
-    fails, every member is solved on its own, so the failures come out in
-    the order and form a case-by-case run gives them.
+    diag(w, 1, ..., 1).
 
     Soundness.  For invertible Q and S' = {Q^T M D : M in S}, D = diag(Q, I_m),
     F -> F' with F'(Q^T M D) = Q^T F(M) is a bijection between the additive
@@ -412,16 +432,8 @@ def _run_class_suite(
         raise BadParams(f"codimension bound {codim} outside the admissible range 0..{n - 2}")
     cap = element_cap(cap)
     t0 = time.perf_counter()
-    keys, classes = _congruence_classes(amb, codim, cap)
-    groups = [(members, _case_space(amb, keys[members[0]])) for members in classes]
-    if admissible is not None:
-        groups = [(members, s) for members, s in groups if admissible(s)]
-    worker = partial(case, cap)
-    first = _map_cases(worker, [s for _, s in groups], jobs)
-    redo = sorted(i for (members, _), fails in zip(groups, first) if fails for i in members)
-    per_case = _map_cases(worker, [_case_space(amb, keys[i]) for i in redo], jobs)
-    # the members of passing classes, one empty failure list each
-    per_case += [[]] * (sum(len(members) for members, _ in groups) - len(redo))
+    parts = [(amb, *_congruence_classes(amb, codim, cap))]
+    per_case = _solve_classes(partial(case, cap), parts, jobs, admissible)
     spec = SuiteSpec(suite, field=amb.field.label, n=n, m=amb.m, codim=codim, cap=cap)
     return _finish(spec, per_case, t0)
 
@@ -749,60 +761,18 @@ def run_rank1_gaps(
 # good functionals lemma
 
 
-def _t3_orbit(field: FieldSpec, m: int) -> frozenset[SubspaceBasis]:
-    """Canonical bases of every space congruent to the t3 block with a free
-    tail, over GF(2): the closure of that space under the congruences
-    [A | R] -> [Q^T A Q | Q^T R] for Q = I + E_01 and the 3-cycle.
-
-    Every move is a congruence, so the closure never leaves the true orbit
-    and a pass in good-functionals stays sound.  It is also the whole orbit:
-    conjugating I + E_01 by the 3-cycle gives I + E_12 and I + E_20, their
-    commutators give the other three elementary transvections, and these
-    generate SL_3(F_2) = GL_3(F_2); in a finite group the inverses are
-    powers, so closing under the two generators alone suffices.  The tail
-    shears [A | R] -> [A | A U + R] are not needed: the tail is free, so
-    every shear fixes the space.  Over a larger field the transvections
-    generate only SL_3, so only GF(2) is accepted."""
-    if field.q != 2:
-        raise BadParams("the t3 orbit is built over GF(2) only")
-    base = build_t3(field)
-    if m:
-        base = side_by_side(base, full_space(Ambient(field, KIND_FULL, 3, m)))
-    gens = (
-        matrix_from_rows(field, [[1, 1, 0], [0, 1, 0], [0, 0, 1]]),
-        matrix_from_rows(field, [[0, 1, 0], [0, 0, 1], [1, 0, 0]]),
-    )
-    seen = {base.basis}
-    todo = [base]
-    while todo:
-        s = todo.pop()
-        for q in gens:
-            image = congruent(s, q)
-            if image.basis not in seen:
-                seen.add(image.basis)
-                todo.append(image)
-    return frozenset(seen)
-
-
 @lru_cache(maxsize=64)
 def _line_tables(amb: Ambient) -> tuple:
-    """For each line K x of K^n, in line_reps order: the projection_table of
-    P projecting along it and, in characteristic 2, c times its column t
-    packed with k bits per entry for every t and c, so that sums are XORs."""
+    """The projection_table of P projecting along each line K x of K^n, in
+    line_reps order."""
     f = amb.field
-    out = []
-    for x in line_reps(f, amb.nrows):
-        p = quotient_projection(full_space(amb), SubspaceBasis.from_vectors(f, amb.nrows, [x]))
-        table = projection_table(amb, p)
-        packed = None
-        if f.p == 2:
-            cols = (table.col_tuple(t) for t in range(amb.dim))
-            packed = tuple(
-                tuple(sum(f.mul(c, y) << (j * f.k) for j, y in enumerate(col)) for c in range(f.q))
-                for col in cols
-            )
-        out.append((table, packed))
-    return tuple(out)
+    return tuple(
+        projection_table(
+            amb,
+            quotient_projection(full_space(amb), SubspaceBasis.from_vectors(f, amb.nrows, [x])),
+        )
+        for x in line_reps(f, amb.nrows)
+    )
 
 
 def _good_lines(space: OperatorSpace) -> tuple[int, int]:
@@ -816,36 +786,36 @@ def _good_lines(space: OperatorSpace) -> tuple[int, int]:
     self-adjoint structure of the quotient.
 
     The quotient dimension is the rank of the images P b of the basis
-    vectors b, read off the line's projection table.  In characteristic 2
-    the F_2-span of lam P b over the power basis lam is the K-span of the
-    P b, so its F_2-rank is k times the quotient dimension.
+    vectors b, read off the line's projection table.
     """
     amb = space.ambient
-    field = amb.field
     n = amb.nrows
     rect_dim = (n - 1) * amb.ncols
     self_adjoint_dim = (n - 1) * n // 2 + (n - 1) * (amb.ncols - n + 1)
-    basis = space.basis.vectors
-    # the nonzero (t, lam * b_t) of lam * b, for each b and power-basis lam
-    terms = [[(t, field.mul(lam, c)) for t, c in enumerate(b) if c]
-             for b in basis for lam in field.power_basis]
     count = overflow = 0
-    for table, packed in _line_tables(amb):
-        if packed is None:
-            dim = SubspaceBasis.from_vectors(field, rect_dim, [table.mat_vec(b) for b in basis]).dim
-        else:
-            acc = Gf2Accumulator(rect_dim * field.k)
-            for term in terms:
-                img = 0
-                for t, c in term:
-                    img ^= packed[t][c]
-                acc.add(img)
-            dim = acc.rank // field.k
+    for table in _line_tables(amb):
+        images = [table.mat_vec(b) for b in space.basis.vectors]
+        dim = SubspaceBasis.from_vectors(amb.field, rect_dim, images).dim
         if dim > self_adjoint_dim:
             overflow += 1
         elif self_adjoint_dim - dim <= n - 3:
             count += 1
     return count, overflow
+
+
+def _t3_class(
+    amb: Ambient, keys: list[int], classes: list[list[int]]
+) -> frozenset[SubspaceBasis]:
+    """Canonical bases of the members of the class of the t3 block with a
+    free tail, given the keys and classes of amb from _congruence_classes."""
+    f = amb.field
+    t3 = build_t3(f)
+    if amb.m:
+        t3 = side_by_side(t3, full_space(Ambient(f, KIND_FULL, 3, amb.m)))
+    ann = kernel_basis(Matrix(f, t3.dim, amb.dim, sum(t3.basis.vectors, ())))
+    i = keys.index(_pack_rows(ann.vectors, (f.q - 1).bit_length()))
+    members = next(c for c in classes if i in c)
+    return frozenset(_case_space(amb, keys[j]).basis for j in members)
 
 
 def _good_functional_case(orbits, space: OperatorSpace) -> list[dict]:
@@ -870,13 +840,36 @@ def run_good_functionals(
     """Subspaces of Sym(3, m) for m in {0, 1} with codimension <= 1 admit at
     least two good lines (quotient by the line is everything); over GF(2)
     either a third good line exists or the space is congruent to the t3
-    block with a free tail."""
+    block with a free tail.
+
+    The cases of Sym(3, 0), then of Sym(3, 1), are solved once per
+    congruence class of _congruence_classes, as in the class suites.
+
+    Soundness.  For invertible Q, S' = {Q^T M D : M in S}, D = diag(Q, I_m),
+    and P with kernel K x, P Q^-T has kernel K Q^T x and
+    P Q^-T (Q^T M D) = (P M) D, so Q^T carries the lines of S one-to-one
+    onto those of S' and every quotient keeps its dimension (D is
+    invertible).  The good-line count and the overflow count are therefore
+    the same across a class.  Over GF(2) the moves are Q = I + E_01 and the
+    3-cycle (_gl_generators(F_2, 3)): conjugating I + E_01 by the 3-cycle
+    gives I + E_12 and I + E_20, their commutators give the other three
+    elementary transvections, and these generate SL_3(F_2) = GL_3(F_2); in
+    a finite group the inverses are powers, so a class is a whole
+    congruence orbit, and the class of the t3 block with a free tail is
+    that block's orbit.  The tail shears [A | R] -> [A | A U + R] are not
+    needed: the tail is free, so every shear fixes the space.  So
+    _good_functional_case gives one answer on a whole class.
+    """
     cap = element_cap(cap)
     t0 = time.perf_counter()
-    orbits = {m: _t3_orbit(field, m) for m in (0, 1)} if field.q == 2 else {}
-    ambs = [Ambient(field, KIND_SYM, 3, m) for m in (0, 1)]
-    cases = [s for amb in ambs for s in enumerate_subspaces_up_to(amb, 1, cap=cap)]
-    per_case = _map_cases(partial(_good_functional_case, orbits), cases, jobs)
+    parts = []
+    for m in (0, 1):
+        amb = Ambient(field, KIND_SYM, 3, m)
+        parts.append((amb, *_congruence_classes(amb, 1, cap)))
+    orbits = {}
+    if field.q == 2:
+        orbits = {amb.m: _t3_class(amb, keys, classes) for amb, keys, classes in parts}
+    per_case = _solve_classes(partial(_good_functional_case, orbits), parts, jobs)
     spec = SuiteSpec("good-functionals", field=field.label, n=3, cap=cap)
     return _finish(spec, per_case, t0)
 

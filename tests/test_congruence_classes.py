@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 import time
-from functools import partial
+from functools import lru_cache, partial
 from itertools import product
 
 import pytest
@@ -23,7 +23,6 @@ from rckit.opspace import (
     KIND_ALT,
     KIND_FULL,
     KIND_SYM,
-    congruent,
     count_subspaces,
     enumerate_subspaces_up_to,
     restricted_part,
@@ -32,6 +31,8 @@ from rckit.opspace import (
 from rckit.rcmaps import element_cap
 
 from test_linalg import rank
+from test_opspace import congruent
+from test_verify import _brute_t3_orbit
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -55,17 +56,36 @@ def _per_case_suite(suite, amb, case, codim, cap, jobs, admissible=None):
     return V._finish(spec, per_case, t0)
 
 
+@lru_cache(maxsize=None)
+def _brute_t3_orbits(field):
+    return {m: _brute_t3_orbit(field, m) for m in (0, 1)} if field.q == 2 else {}
+
+
+def _per_case_good_functionals(field, cap=None, jobs=1):
+    """The good-functionals suite that solves every case on its own, with
+    the t3 orbits by brute force."""
+    cap = element_cap(cap)
+    t0 = time.perf_counter()
+    orbits = _brute_t3_orbits(field)
+    ambs = [Ambient(field, KIND_SYM, 3, m) for m in (0, 1)]
+    cases = [s for amb in ambs for s in enumerate_subspaces_up_to(amb, 1, cap=cap)]
+    per_case = V._map_cases(partial(V._good_functional_case, orbits), cases, jobs)
+    spec = V.SuiteSpec("good-functionals", field=field.label, n=3, cap=cap)
+    return V._finish(spec, per_case, t0)
+
+
 def _canonical(report) -> str:
     obj = report.to_json()
     del obj["wallTime"]
     return json.dumps(obj, sort_keys=True)
 
 
-def _both(monkeypatch, run):
-    """The report of run() from the class driver, then from the reference."""
+def _both(monkeypatch, run, name="_run_class_suite", reference=_per_case_suite):
+    """The report of run() as it stands, then with the reference put in
+    place of V.<name>."""
     new = run()
     with monkeypatch.context() as m:
-        m.setattr(V, "_run_class_suite", _per_case_suite)
+        m.setattr(V, name, reference)
         ref = run()
     return new, ref
 
@@ -235,6 +255,96 @@ def test_small_caps_exit_2_with_the_reference_message(monkeypatch, capsys, cap, 
     assert main(argv) == 2
     got = capsys.readouterr().err
     monkeypatch.setattr(V, "_run_class_suite", _per_case_suite)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == got
+    assert got.strip() == message
+
+
+# ---------------------------------------------------------------------------
+# good-functionals against its per-case reference
+
+
+@lru_cache(maxsize=None)
+def _reference_good_functionals(field) -> str:
+    # the reference's report does not depend on jobs; 2 halves its F_3 time
+    return _canonical(_per_case_good_functionals(field, jobs=2))
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("field", [F2, F3], ids=["f2", "f3"])
+def test_good_functionals_match_the_per_case_reference(field, jobs):
+    # the digests of these reports are pinned in test_verify.py
+    new = V.run_good_functionals(field, jobs=jobs)
+    assert new.verified
+    assert _canonical(new) == _reference_good_functionals(field)
+
+
+def _two_good_lines_on_hyperplanes(space):
+    # over F_2 every class of codimension one fails but the t3 class
+    return (2, 0) if space.codim == 1 else (3, 0)
+
+
+def _overflow_on_tight_restricted_part(space):
+    return (3, 1) if restricted_part(space).codim == 1 else (3, 0)
+
+
+def _one_good_line_on_the_full_block(space):
+    # fails on Sym(3, 0) itself and on the 1 + 13 spaces of Sym(3, 1) over
+    # F_3 that contain the whole block
+    return (3, 0) if restricted_part(space).codim else (1, 0)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize(
+    "field, predicate",
+    [
+        (F2, _two_good_lines_on_hyperplanes),
+        (F2, _overflow_on_tight_restricted_part),
+        (F3, _one_good_line_on_the_full_block),
+    ],
+    ids=["f2-t3", "f2-overflow", "f3-full-block"],
+)
+def test_failing_good_functional_classes_report_every_member(monkeypatch, field, predicate, jobs):
+    # congruence-invariant counts that fail in both ambients
+    monkeypatch.setattr(V, "_good_lines", predicate)
+    new, ref = _both(
+        monkeypatch,
+        lambda: V.run_good_functionals(field, jobs=jobs),
+        "run_good_functionals",
+        _per_case_good_functionals,
+    )
+    assert not new.verified and 0 < new.passes < new.cases_run
+    assert {f["space"]["ambient"]["m"] for f in new.failures} == {0, 1}
+    assert _canonical(new) == _canonical(ref)
+
+
+def test_good_functionals_dispatch_every_representative_at_once(monkeypatch):
+    # one _map_cases call for the 21 classes of both ambients, so --jobs
+    # forks one pool, then an empty one for the members of failing classes
+    sizes = []
+    map_cases = V._map_cases
+
+    def counting(worker, cases, jobs=1):
+        cases = list(cases)
+        sizes.append(len(cases))
+        return map_cases(worker, cases, jobs)
+
+    monkeypatch.setattr(V, "_map_cases", counting)
+    assert V.run_good_functionals(F2, jobs=2).verified
+    assert sizes == [21, 0]
+
+
+@pytest.mark.parametrize(
+    "cap, message",
+    [("50", "error: 64 subspaces exceeds cap 50"), ("100", "error: 512 subspaces exceeds cap 100")],
+)
+def test_good_functionals_small_caps_exit_2_with_the_reference_message(
+    monkeypatch, capsys, cap, message
+):
+    argv = ["verify", "--suite", "good-functionals", "--field", "2", "--cap", cap]
+    assert main(argv) == 2
+    got = capsys.readouterr().err
+    monkeypatch.setattr(V, "run_good_functionals", _per_case_good_functionals)
     assert main(argv) == 2
     assert capsys.readouterr().err == got
     assert got.strip() == message

@@ -18,6 +18,7 @@ from rckit.field import make_field
 from rckit.linalg import Matrix, SubspaceBasis, kernel_basis, matrix_from_rows
 from rckit.opspace import (
     Ambient,
+    KIND_FULL,
     build_alt_2n5,
     build_alt_2n6,
     build_alt_col1,
@@ -29,7 +30,6 @@ from rckit.opspace import (
     build_sym_block,
     build_t3,
     build_u2_block,
-    congruent,
     count_subspaces,
     decode,
     dual_rref_rows,
@@ -337,6 +337,24 @@ def test_side_by_side():
         side_by_side(a, build_full_rect(F3, 3, 1))
     with pytest.raises(AmbientMismatch):
         side_by_side(a, build_full_sym(F3, 2))
+
+
+def congruent(s, q):
+    """The space of Q^T M diag(Q, I_m) = [Q^T A Q | Q^T R] over M = [A | R]
+    in s, for an n x n matrix Q, by matrix products: a congruence of s when
+    Q is invertible.  The oracle for the union edges of the congruence
+    classes."""
+    amb = s.ambient
+    if amb.kind == KIND_FULL:
+        raise AmbientMismatch("congruence needs a sym or alt ambient")
+    n, m = amb.n, amb.m
+    right = matrix_from_rows(
+        amb.field,
+        [list(q.row_tuple(i)) + [0] * m for i in range(n)]
+        + [[0] * n + [int(j == i) for j in range(m)] for i in range(m)],
+    )
+    qt = q.transpose()
+    return space_from_matrices(amb, [qt.matmul(a).matmul(right) for a in s.basis_matrices()])
 
 
 def test_congruent_transforms():

@@ -248,12 +248,18 @@ def test_lemma_and_admissibility_reports_are_pinned(run, cases, digest):
             576,
             "f0cb0b2f26dd71c815a35213551d45d5d0ea385b1f1c27f0c5ab2f0e94fa9254",
         ),
+        (
+            lambda jobs: V.run_good_functionals(F3, jobs=jobs),
+            10207,
+            "1fecad01d606c1c97345d48ac76195204d7b0bdabffd3c23896d4d0c8b679008",
+        ),
     ],
-    ids=["rank1-f2", "rank1-f3", "good-functionals-f2"],
+    ids=["rank1-f2", "rank1-f3", "good-functionals-f2", "good-functionals-f3"],
 )
 def test_rank1_and_good_functional_reports_are_pinned(run, cases, digest, jobs):
     # the digests are those of the reports from one pool case per
-    # annihilator and of quotients built by decode, matmul and echelon form
+    # annihilator or per subspace and of quotients built by decode, matmul
+    # and echelon form
     rep = run(jobs)
     assert rep.verified and rep.cases_run == cases
     assert _canonical_sha256(rep) == digest
@@ -503,11 +509,14 @@ def test_good_lines_match_the_matrix_reference():
                 assert V._good_lines(s) == _matrix_good_lines(s)
 
 
+def _t3_class(m):
+    amb = Ambient(F2, KIND_SYM, 3, m)
+    return V._t3_class(amb, *V._congruence_classes(amb, 1, 1 << 20))
+
+
 def test_good_line_counts_match_t3_orbit():
     # exactly the spaces congruent to the t3 block have only two good lines
-    orbit = V._t3_orbit(F2, 0)
-    from rckit.opspace import enumerate_subspaces_up_to
-
+    orbit = _t3_class(0)
     amb = Ambient(F2, KIND_SYM, 3, 0)
     two_good = set()
     for s in enumerate_subspaces_up_to(amb, 1):
@@ -544,12 +553,11 @@ def _brute_t3_orbit(field, m):
 
 
 @pytest.mark.parametrize("m", [0, 1])
-def test_t3_orbit_closure_matches_brute_force(m):
-    orbit = V._t3_orbit(F2, m)
+def test_t3_class_matches_brute_force(m):
+    # the union-find class of the t3 block with free tail is its whole orbit
+    orbit = _t3_class(m)
     assert orbit == _brute_t3_orbit(F2, m)
     assert len(orbit) == 21
-    with pytest.raises(BadParams):
-        V._t3_orbit(F3, m)
 
 
 def test_mf_suite_exhaustive_and_sampled():
