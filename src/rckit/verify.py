@@ -17,12 +17,12 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import combinations, product
 from multiprocessing import get_context
+from operator import xor
 
 from . import __version__
 from .errors import BadParams, EnumerationCapExceeded, IllDefined
 from .field import FieldSpec, parse_field_label
 from .linalg import (
-    Gf2Accumulator,
     Matrix,
     SubspaceBasis,
     echelonize,
@@ -291,45 +291,93 @@ def _case_space(amb: Ambient, key: int) -> OperatorSpace:
     return OperatorSpace(amb, kernel_basis(Matrix(amb.field, len(rows), amb.dim, sum(rows, ()))))
 
 
+def _gf2_key(rows: list[int], width: int) -> int:
+    """The key of the span of independent packed F_2 rows: reduced, ordered
+    by their lowest-bit pivots and packed as Gf2Accumulator.rows_pivots and
+    _pack_rows give them."""
+    if len(rows) == 1:  # a nonzero row over F_2 is its own echelon form
+        return rows[0]
+    piv: dict[int, int] = {}  # pivot bit -> reduced row
+    for r in rows:
+        for b, p in piv.items():
+            if r & b:
+                r ^= p
+        low = r & -r
+        for b, p in piv.items():
+            if p & low:
+                piv[b] = p ^ r
+        piv[low] = r
+    key = shift = 0
+    for b in sorted(piv):
+        key |= piv[b] << shift
+        shift += width
+    return key
+
+
 def _image_keys(amb: Ambient):
     """The function taking a case's key to the keys of its images under
     _moves(amb), in that order.
 
     For a move M -> L M R, row u of the matrix C holds the coordinates of
     L E_u R, E_u the matrix with coordinates e_u.  An annihilator row a of S
-    goes to C.mat_vec(a), the functional M -> a(L M R), so the images of
-    the rows span the annihilator of L^-1 S R^-1, and their echelon form is
-    its key.  Over F_2 a row is a packed int, and C.mat_vec(a) the XOR of
-    the packed columns of C at the bits of a."""
+    goes to C.mat_vec(a) = sum_t a_t C e_t, the functional M -> a(L M R), so
+    the images of the rows span the annihilator of L^-1 S R^-1, and their
+    echelon form is its key.
+
+    The columns C e_t are read once per ambient, into one table per move and
+    chunk of the whole entries that fit in a byte: entry b of a table is the
+    sum of a_t C e_t over the entries a_t packed in b (None where one is not
+    a field element), so a packed row's image is a sum of one lookup per
+    chunk.  In characteristic 2 an element's index is its polynomial's bits
+    and addition is XOR, so the images are packed rows added by XOR, and
+    over F_2 _gf2_key reduces them on ints."""
     f, d = amb.field, amb.dim
+    bits = (f.q - 1).bit_length()
+    add, mul = f.add_table, f.mul_table
+    if f.p == 2:
+        zero, plus = 0, xor
+        scale = lambda x, col: _pack_rows([[mul[x][c] for c in col]], bits)
+    else:
+        zero, plus = (0,) * d, lambda u, v: tuple([add[a][b] for a, b in zip(u, v)])
+        scale = lambda x, col: tuple([mul[x][c] for c in col])
     units = SubspaceBasis.full(f, d).vectors
-    tables = [
-        matrix_from_rows(f, [encode(amb, left.matmul(decode(amb, e)).matmul(right)) for e in units])
-        for left, right in _moves(amb)
-    ]
-    if f.q != 2:
-        bits = (f.q - 1).bit_length()
-        return lambda key: [
-            _pack_rows(echelonize(f, [c.mat_vec(a) for a in _key_rows(key, d, bits)], d)[0], bits)
-            for c in tables
-        ]
-    packed = [[_pack_rows([c.col_tuple(t)], 1) for t in range(d)] for c in tables]
-    full = (1 << d) - 1
+    per = max(1, 8 // bits)
+    tables = []
+    for left, right in _moves(amb):
+        c = matrix_from_rows(f, [encode(amb, left.matmul(decode(amb, e)).matmul(right)) for e in units])
+        move = []
+        for t in range(0, d, per):
+            tab = [zero]
+            for u in range(t, min(t + per, d)):
+                col = c.col_tuple(u)
+                step = [scale(x, col) for x in range(f.q)] + [None] * ((1 << bits) - f.q)
+                tab = [None if x is None or b is None else plus(b, x) for x in step for b in tab]
+            move.append((t * bits, tab))
+        tables.append(move)
+    width, mask = d * bits, (1 << per * bits) - 1
+    full = (1 << width) - 1
+    if f.q == 2:
+        to_key = partial(_gf2_key, width=width)
+    elif f.p == 2:
+        unpack = lambda img: [_key_rows(r, d, bits)[0] for r in img]
+        to_key = lambda img: _pack_rows(echelonize(f, unpack(img), d)[0], bits)
+    else:
+        to_key = lambda img: _pack_rows(echelonize(f, img, d)[0], bits)
 
     def images(key: int) -> list[int]:
+        rows = []
+        while key:
+            rows.append(key & full)
+            key >>= width
         out = []
-        for cols in packed:
-            acc = Gf2Accumulator(d)
-            rest = key
-            while rest:
-                a, rest = rest & full, rest >> d
-                row = 0
-                while a:
-                    low = a & -a
-                    row ^= cols[low.bit_length() - 1]
-                    a ^= low
-                acc.add(row)
-            out.append(sum(r << (i * d) for i, r in enumerate(acc.rows_pivots()[0])))
+        for move in tables:
+            img = []
+            for a in rows:
+                r = zero
+                for s, tab in move:
+                    r = plus(r, tab[a >> s & mask])
+                img.append(r)
+            out.append(to_key(img))
         return out
 
     return images
@@ -356,10 +404,13 @@ def _congruence_classes(amb: Ambient, codim: int, cap: int) -> tuple[list[int], 
 
     images = _image_keys(amb)
     for i, key in enumerate(keys):
+        a = find(i)
         for image in images(key):
-            a, b = find(i), find(index[image])
-            if a != b:  # the smaller index stays the root
-                parent[max(a, b)] = min(a, b)
+            b = find(index[image])
+            if b < a:  # the smaller index stays the root
+                parent[a], a = b, b
+            elif a < b:
+                parent[b] = a
     classes: dict[int, list[int]] = {}
     for i in range(len(keys)):
         classes.setdefault(find(i), []).append(i)

@@ -6,7 +6,6 @@ as the reference."""
 
 from __future__ import annotations
 
-import json
 import time
 from functools import lru_cache, partial
 from itertools import product
@@ -17,13 +16,16 @@ from rckit import verify as V
 from rckit.cli import main
 from rckit.errors import BadParams
 from rckit.field import make_field
-from rckit.linalg import matrix_from_rows
+from rckit.linalg import Gf2Accumulator, SubspaceBasis, echelonize, matrix_from_rows
 from rckit.opspace import (
     Ambient,
     KIND_ALT,
     KIND_FULL,
     KIND_SYM,
     count_subspaces,
+    decode,
+    dual_rref_rows,
+    encode,
     enumerate_subspaces_up_to,
     restricted_part,
     space_from_matrices,
@@ -32,11 +34,13 @@ from rckit.rcmaps import element_cap
 
 from test_linalg import rank
 from test_opspace import congruent
-from test_verify import _brute_t3_orbit
+from test_verify import _brute_t3_orbit, _canonical_sha256
 
 F2 = make_field(2)
 F3 = make_field(3)
 F4 = make_field(2, 2)
+F5 = make_field(5)
+F8 = make_field(2, 3)
 
 
 def _per_case_suite(suite, amb, case, codim, cap, jobs, admissible=None):
@@ -74,10 +78,18 @@ def _per_case_good_functionals(field, cap=None, jobs=1):
     return V._finish(spec, per_case, t0)
 
 
-def _canonical(report) -> str:
-    obj = report.to_json()
-    del obj["wallTime"]
-    return json.dumps(obj, sort_keys=True)
+def _first_difference(new, ref) -> str:
+    pairs = enumerate(zip(new.failures, ref.failures))
+    first = next((i for i, (a, b) in pairs if a != b), min(len(new.failures), len(ref.failures)))
+    return (
+        f"casesRun {new.cases_run} against {ref.cases_run}; first differing failure at index "
+        f"{first} of {len(new.failures)} against {len(ref.failures)}"
+    )
+
+
+def _assert_same_report(new, ref) -> None:
+    # digests, so that a mismatch does not diff hundreds of KB of JSON
+    assert _canonical_sha256(new) == _canonical_sha256(ref), _first_difference(new, ref)
 
 
 def _both(monkeypatch, run, name="_run_class_suite", reference=_per_case_suite):
@@ -109,8 +121,12 @@ PARTITIONS = [
     (Ambient(F4, KIND_SYM, 2, 1), 1),
     (Ambient(F2, KIND_ALT, 4, 1), 1),
     (Ambient(F2, KIND_FULL, 3, 2), 2),
+    (Ambient(F8, KIND_SYM, 2, 0), 1),
+    (Ambient(F5, KIND_SYM, 2, 0), 1),
 ]
-PARTITION_IDS = ["sym3-f2", "sym4-f2", "sym3-f3", "sym2x1-f4", "alt4x1-f2", "rect3x2-f2"]
+PARTITION_IDS = [
+    "sym3-f2", "sym4-f2", "sym3-f3", "sym2x1-f4", "alt4x1-f2", "rect3x2-f2", "sym2-f8", "sym2-f5",
+]
 
 
 @pytest.mark.parametrize("amb, codim", PARTITIONS, ids=PARTITION_IDS)
@@ -142,6 +158,66 @@ def test_class_sizes_sum_to_the_subspace_counts(amb, codim):
         assert len(dims) == 1 and members == sorted(members)
         per_codim[dims.pop()] += len(members)
     assert per_codim == [count_subspaces(amb, c) for c in range(codim + 1)]
+
+
+def _reference_image_keys(amb):
+    """The reference for V._image_keys: one C.mat_vec per annihilator row
+    and echelonize, and over F_2 the per-bit XOR of the packed columns of C
+    into a Gf2Accumulator."""
+    f, d = amb.field, amb.dim
+    units = SubspaceBasis.full(f, d).vectors
+    tables = [
+        matrix_from_rows(f, [encode(amb, left.matmul(decode(amb, e)).matmul(right)) for e in units])
+        for left, right in V._moves(amb)
+    ]
+    if f.q != 2:
+        bits = (f.q - 1).bit_length()
+        return lambda key: [
+            V._pack_rows(echelonize(f, [c.mat_vec(a) for a in V._key_rows(key, d, bits)], d)[0], bits)
+            for c in tables
+        ]
+    packed = [[V._pack_rows([c.col_tuple(t)], 1) for t in range(d)] for c in tables]
+    full = (1 << d) - 1
+
+    def images(key):
+        out = []
+        for cols in packed:
+            acc = Gf2Accumulator(d)
+            rest = key
+            while rest:
+                a, rest = rest & full, rest >> d
+                row = 0
+                while a:
+                    low = a & -a
+                    row ^= cols[low.bit_length() - 1]
+                    a ^= low
+                acc.add(row)
+            out.append(sum(r << (i * d) for i, r in enumerate(acc.rows_pivots()[0])))
+        return out
+
+    return images
+
+
+@pytest.mark.parametrize(
+    "amb, codim",
+    PARTITIONS
+    + [
+        (Ambient(F8, KIND_SYM, 2, 1), 1),  # 15 bits per row, across the 6-bit chunks
+        (Ambient(F4, KIND_SYM, 3, 0), 1),
+        (Ambient(F3, KIND_SYM, 3, 0), 2),  # several rows over odd q
+        (Ambient(F4, KIND_SYM, 2, 0), 2),
+        (Ambient(F2, KIND_ALT, 3, 1), 3),  # three rows over F_2
+        (Ambient(F2, KIND_SYM, 3, 1), 2),  # two rows of 9 bits over F_2
+    ],
+    ids=PARTITION_IDS + ["sym2x1-f8", "sym3-f4", "sym3c2-f3", "sym2c2-f4", "alt3x1c3-f2", "sym3x1c2-f2"],
+)
+def test_image_keys_match_the_reference(amb, codim):
+    f, d = amb.field, amb.dim
+    bits = (f.q - 1).bit_length()
+    keys = [V._pack_rows(rows, bits) for c in range(codim + 1) for rows in dual_rref_rows(f, d, c)]
+    new, ref = V._image_keys(amb), _reference_image_keys(amb)
+    for key in keys:
+        assert new(key) == ref(key), key
 
 
 def _general_linear(f, k):
@@ -206,7 +282,7 @@ def test_class_driver_matches_the_per_case_reference(monkeypatch, run, jobs):
     # the digests of these reports are pinned in test_verify.py
     new, ref = _both(monkeypatch, partial(run, jobs))
     assert new.verified
-    assert _canonical(new) == _canonical(ref)
+    _assert_same_report(new, ref)
 
 
 def _fails_on_hyperplanes(cap, space):
@@ -240,7 +316,7 @@ def test_failing_classes_report_every_member(monkeypatch, name, predicate, run, 
     monkeypatch.setattr(V, name, predicate)
     new, ref = _both(monkeypatch, partial(run, jobs=jobs))
     assert not new.verified and 0 < new.passes < new.cases_run
-    assert _canonical(new) == _canonical(ref)
+    _assert_same_report(new, ref)
 
 
 @pytest.mark.parametrize(
@@ -265,9 +341,9 @@ def test_small_caps_exit_2_with_the_reference_message(monkeypatch, capsys, cap, 
 
 
 @lru_cache(maxsize=None)
-def _reference_good_functionals(field) -> str:
+def _reference_good_functionals(field):
     # the reference's report does not depend on jobs; 2 halves its F_3 time
-    return _canonical(_per_case_good_functionals(field, jobs=2))
+    return _per_case_good_functionals(field, jobs=2)
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -276,7 +352,7 @@ def test_good_functionals_match_the_per_case_reference(field, jobs):
     # the digests of these reports are pinned in test_verify.py
     new = V.run_good_functionals(field, jobs=jobs)
     assert new.verified
-    assert _canonical(new) == _reference_good_functionals(field)
+    _assert_same_report(new, _reference_good_functionals(field))
 
 
 def _two_good_lines_on_hyperplanes(space):
@@ -315,7 +391,7 @@ def test_failing_good_functional_classes_report_every_member(monkeypatch, field,
     )
     assert not new.verified and 0 < new.passes < new.cases_run
     assert {f["space"]["ambient"]["m"] for f in new.failures} == {0, 1}
-    assert _canonical(new) == _canonical(ref)
+    _assert_same_report(new, ref)
 
 
 def test_good_functionals_dispatch_every_representative_at_once(monkeypatch):
