@@ -77,7 +77,9 @@ class Gf2Accumulator:
 
 
 class GenericAccumulator:
-    """Incremental reduced row echelon form via field lookup tables."""
+    """Incremental reduced row echelon form via field lookup tables: v minus
+    c times a row r is add_table[v_j][mul_table[-c][r_j]] at each nonzero
+    entry r_j, and the zero entries of r are skipped."""
 
     def __init__(self, field: FieldSpec, width: int):
         self.field = field
@@ -87,22 +89,30 @@ class GenericAccumulator:
 
     def add(self, row) -> bool:
         f = self.field
-        mul, sub = f.mul, f.sub
+        add, mul, neg = f.add_table, f.mul_table, f.neg_table
         v = list(row)
         for r, p in zip(self.rows, self.pivots):
             c = v[p]
             if c:
-                v = [sub(v[j], mul(c, r[j])) for j in range(self.width)]
-        p = next((j for j, x in enumerate(v) if x), None)
-        if p is None:
+                times = mul[neg[c]]
+                for j, x in enumerate(r):
+                    if x:
+                        v[j] = add[v[j]][times[x]]
+        for p, lead in enumerate(v):
+            if lead:
+                break
+        else:
             return False
-        s = f.inv(v[p])
-        if s != 1:
-            v = [mul(s, x) for x in v]
-        for i, r in enumerate(self.rows):
+        if lead != 1:
+            times = mul[f.inv_table[lead]]
+            v = [times[x] for x in v]
+        for r in self.rows:
             c = r[p]
             if c:
-                self.rows[i] = [sub(r[j], mul(c, v[j])) for j in range(self.width)]
+                times = mul[neg[c]]
+                for j, x in enumerate(v):
+                    if x:
+                        r[j] = add[r[j]][times[x]]
         self.rows.append(v)
         self.pivots.append(p)
         return True
@@ -182,11 +192,15 @@ class SubspaceBasis:
         if len(v) != self.ambient_dim:
             raise ShapeMismatch("vector length does not match ambient dimension")
         f = self.field
+        add, mul, neg = f.add_table, f.mul_table, f.neg_table
         coeffs = tuple(v[p] for p in self.pivots)
         rem = list(v)
         for c, row in zip(coeffs, self.vectors):
             if c:
-                rem = [f.sub(rem[j], f.mul(c, row[j])) for j in range(len(rem))]
+                times = mul[neg[c]]
+                for j, x in enumerate(row):
+                    if x:
+                        rem[j] = add[rem[j]][times[x]]
         if any(rem):
             return None
         return coeffs
@@ -279,16 +293,17 @@ class Matrix:
             raise MixedFields("matrices over different fields")
         if self.cols != other.rows:
             raise ShapeMismatch("inner dimensions differ")
-        f = self.field
+        add, mul = self.field.add_table, self.field.mul_table
+        cols = [other.col_tuple(j) for j in range(other.cols)]
         ent = []
         for i in range(self.rows):
-            for j in range(other.cols):
+            support = [(t, mul[a]) for t, a in enumerate(self.row_tuple(i)) if a]
+            for col in cols:
                 acc = 0
-                for t in range(self.cols):
-                    a = self.entries[i * self.cols + t]
-                    b = other.entries[t * other.cols + j]
-                    if a and b:
-                        acc = f.add(acc, f.mul(a, b))
+                for t, times_a in support:
+                    b = col[t]
+                    if b:
+                        acc = add[acc][times_a[b]]
                 ent.append(acc)
         return Matrix(self.field, self.rows, other.cols, tuple(ent))
 

@@ -115,31 +115,37 @@ def map_coord_width(space: OperatorSpace) -> int:
 
 def iter_space_elements(space: OperatorSpace):
     """Yield (prime_coeffs, matrix) for all q^dim elements, odometer order:
-    each step adds the entries of the prime basis matrices, decoded once."""
+    each step adds the entries of one prime basis matrix (see _odometer)."""
     amb = space.ambient
     f = amb.field
+    entries = [m.entries for m in _prime_basis_matrices(space)]
+    for digits, cur in _odometer(f, entries, amb.nrows * amb.ncols):
+        yield digits, Matrix(f, amb.nrows, amb.ncols, cur)
+
+
+def _odometer(f: FieldSpec, vectors, width: int):
+    """Yield (prime_coeffs, sum of coeffs_j times vectors_j) for every
+    F_p-combination of the flat vectors of length width, zero first, the
+    first coefficient counting fastest: each step adds one vector."""
     p = f.p
-    mats = _prime_basis_matrices(space)
-    supports = [[(t, x) for t, x in enumerate(m.entries) if x] for m in mats]
+    supports = [[(t, x) for t, x in enumerate(v) if x] for v in vectors]
     d = len(supports)
     digits = [0] * d
-    cur = [0] * (amb.nrows * amb.ncols)
-    yield tuple(digits), Matrix(f, amb.nrows, amb.ncols, tuple(cur))
-    if d == 0:
-        return
-    add = f.add
+    cur = [0] * width
+    yield tuple(digits), tuple(cur)
+    add = f.add_table
     for _ in range(p**d - 1):
         j = 0
         while True:
             for t, val in supports[j]:
-                cur[t] = add(cur[t], val)
+                cur[t] = add[cur[t]][val]
             digits[j] += 1
             if digits[j] == p:
                 digits[j] = 0
                 j += 1
             else:
                 break
-        yield tuple(digits), Matrix(f, amb.nrows, amb.ncols, tuple(cur))
+        yield tuple(digits), tuple(cur)
 
 
 @dataclass(frozen=True, slots=True)
@@ -179,8 +185,7 @@ def map_from_function(space: OperatorSpace, fn) -> AdditiveMap:
     The result is the unique additive map agreeing with fn there; fn itself
     is not checked for additivity.
     """
-    amb = space.ambient
-    values = [tuple(fn(decode(amb, v))) for v in prime_basis_vectors(space)]
+    values = [tuple(fn(m)) for m in _prime_basis_matrices(space)]
     return AdditiveMap(space, tuple(values))
 
 
@@ -193,14 +198,18 @@ def prime_coeffs_of(space: OperatorSpace, coords) -> tuple[int, ...]:
 
 
 def evaluate_at_coeffs(f_map: AdditiveMap, coeffs) -> tuple[int, ...]:
+    """F at the element with these prime coefficients: the sum of c_j times
+    F(u_j), read from the field tables (a prime coefficient c is the field
+    element c * 1)."""
     f = f_map.domain.ambient.field
-    n = f_map.domain.ambient.nrows
-    acc = [0] * n
+    add, mul = f.add_table, f.mul_table
+    acc = [0] * f_map.domain.ambient.nrows
     for c, val in zip(coeffs, f_map.values):
         if c:
-            for i in range(n):
-                if val[i]:
-                    acc[i] = f.add(acc[i], f.mul(c, val[i]))
+            times = mul[c]
+            for i, x in enumerate(val):
+                if x:
+                    acc[i] = add[acc[i]][times[x]]
     return tuple(acc)
 
 
@@ -261,16 +270,82 @@ def map_from_coords(space: OperatorSpace, coords) -> AdditiveMap:
 
 
 def is_range_compatible(f_map: AdditiveMap, cap: int | None = None) -> bool:
-    """Exhaustively test F(s) in column space of s for all s in the domain."""
+    """Exhaustively test F(s) in column space of s for all s in the domain.
+
+    The column space of s is the annihilator of its left kernel, so F(s)
+    lies in it exactly when <a, F(s)> = 0 for every row a of a basis of the
+    left kernel of s: each element costs a left kernel, cached per matrix,
+    and a few dot products in place of a solve of its own.  The element cap
+    is checked before the walk.
+
+    In characteristic 2 the walk visits the elements in Gray-code order over
+    the prime basis keys (see _gf2_basis_keys), and F(s) is kept packed with
+    k bits per entry, value i at bit i*k, as the XOR of the packed F(u_j)
+    over the support of s: an element's index has its prime coordinates as
+    bits, so field addition is XOR.  Digit u of F(s)_i is then bit i*k + u,
+    and digit w of <a, F(s)> is the sum over i and u of that digit times
+    digit w of a_i x^u, which is bit i*k + u of the w-th constraint pattern
+    of a (see _char2_patterns; over F_2 the one pattern of a is its bitmask
+    of rows, from _gf2_left_kernel).  So <a, F(s)> = 0 exactly when every
+    pattern has even overlap with the packed F(s), and s fails when some
+    pattern of its matrix has odd overlap.  Dropping zero patterns drops
+    nothing: they overlap nothing.  In odd characteristic the walk is the
+    odometer order of iter_space_elements, run on each element's entries
+    and F(s) side by side, and the dot products read the field tables.
+    """
     space = f_map.domain
     f = space.ambient.field
     limit = element_cap(cap)
     if f.q**space.dim > limit:
         raise DomainTooLarge(f"{f.q ** space.dim} elements exceeds cap {limit}")
-    for coeffs, mat in iter_space_elements(space):
-        value = evaluate_at_coeffs(f_map, coeffs)
-        if any(value) and solve(mat, value) is None:
-            return False
+    if f.p == 2:
+        return _rc_check_char2(f_map)
+    return _rc_check_odd(f_map)
+
+
+def _rc_check_char2(f_map: AdditiveMap) -> bool:
+    """is_range_compatible in characteristic 2, on packed keys and values."""
+    space = f_map.domain
+    amb = space.ambient
+    f = amb.field
+    n, ncols, k = amb.nrows, amb.ncols, f.k
+    keys = _gf2_basis_keys(space)
+    values = [sum(x << (i * k) for i, x in enumerate(val)) for val in f_map.values]
+    patterns = _gf2_left_kernel if k == 1 else partial(_char2_patterns, f)
+    key = value = 0
+    for step in range(1, 1 << len(keys)):
+        j = (step & -step).bit_length() - 1
+        key ^= keys[j]
+        value ^= values[j]
+        if value:
+            for c in patterns(key, n, ncols):
+                if (c & value).bit_count() & 1:
+                    return False
+    return True
+
+
+def _rc_check_odd(f_map: AdditiveMap) -> bool:
+    """is_range_compatible in odd characteristic: each element's entries
+    and F(s) come from one odometer walk, and F(s) is checked against the
+    memoised left kernel of the entries."""
+    space = f_map.domain
+    amb = space.ambient
+    f = amb.field
+    add, mul = f.add_table, f.mul_table
+    n, ncols = amb.nrows, amb.ncols
+    size = n * ncols
+    vectors = [m.entries + val for m, val in zip(_prime_basis_matrices(space), f_map.values)]
+    for _, cur in _odometer(f, vectors, size + n):
+        value = cur[size:]
+        if not any(value):
+            continue
+        for a in _left_kernel(f, cur[:size], n, ncols):
+            acc = 0
+            for ai, x in zip(a, value):
+                if ai and x:
+                    acc = add[acc][mul[ai][x]]
+            if acc:
+                return False
     return True
 
 
@@ -441,14 +516,16 @@ def _gf2_unit_keys(amb: Ambient) -> tuple[int, ...]:
     return tuple(sum(1 << (s * k) for s, _ in slots) for slots in layout(amb))
 
 
-@lru_cache(maxsize=1)
+@lru_cache(maxsize=3)
 def _gf2_basis_keys(space: OperatorSpace) -> tuple[int, ...]:
     """The packed entries of each prime basis matrix x^t b_i of a
     characteristic-2 space, indexed by j = i*k + t.  decode is linear and a
     unit key has 1 in the low bit of each of its slots, so the key of a
     coordinate vector v is the XOR of v_c times the unit key of each
-    coordinate c.  Kept for the last space, so that the target and the walk
-    of one class case share one key set."""
+    coordinate c.  Kept for the last three spaces: the target and the walk
+    of one class case share one key set, and one splitting-lemma trial
+    checks maps on its left factor, its right factor and their product in
+    turn, which a single entry would rebuild on every check."""
     f = space.ambient.field
     units = _gf2_unit_keys(space.ambient)
     keys = []
@@ -656,7 +733,7 @@ def local_map(space: OperatorSpace, x) -> AdditiveMap:
     amb = space.ambient
     if len(x) != amb.ncols:
         raise AmbientMismatch(f"x must live in K^{amb.ncols}")
-    values = [decode(amb, v).mat_vec(x) for v in prime_basis_vectors(space)]
+    values = [m.mat_vec(x) for m in _prime_basis_matrices(space)]
     return AdditiveMap(space, tuple(values))
 
 
@@ -719,9 +796,24 @@ def _decoded_generators(space: OperatorSpace, diagonal: bool) -> list[tuple[int,
     return [_coords_of_values(f, v) for v in values]
 
 
-def _prime_basis_matrices(space: OperatorSpace) -> list[Matrix]:
+@lru_cache(maxsize=128)
+def _prime_basis_matrices(space: OperatorSpace) -> tuple[Matrix, ...]:
+    """The prime basis matrices x^t b_i, indexed by j = i*k + t, built once
+    per space: each K-basis matrix b_i is decoded once and, decode being
+    K-linear, x^t b_i is its entries scaled by x^t through the field table.
+    Matrix i*k is b_i itself.  Kept for the last 128 spaces, about 120 KB:
+    a lemma trial reads the matrices of each of its spaces several times,
+    and its small random spaces recur from trial to trial."""
     amb = space.ambient
-    return [decode(amb, v) for v in prime_basis_vectors(space)]
+    f = amb.field
+    out = []
+    for vec in space.basis.vectors:
+        b = decode(amb, vec)
+        out.append(b)
+        for lam in f.power_basis[1:]:
+            times = f.mul_table[lam]
+            out.append(Matrix(f, b.rows, b.cols, tuple(times[x] for x in b.entries)))
+    return tuple(out)
 
 
 @lru_cache(maxsize=256)
@@ -793,7 +885,7 @@ def respects_row_decomposition(f_map: AdditiveMap) -> bool:
     amb = space.ambient
     if space.dim == 0:
         return True
-    mats = [decode(amb, vec) for vec in space.basis.vectors]
+    mats = _prime_basis_matrices(space)[:: amb.field.k]  # the K-basis matrices
     for i in range(amb.nrows):
         stacked = tuple(x for m in mats for x in m.row_tuple(i))
         for gamma in left_kernel_rows(amb.field, stacked, space.dim, amb.ncols):
@@ -810,21 +902,19 @@ def is_local(f_map: AdditiveMap):
     agree with an evaluation on the basis without being K-semilinear.
     """
     space = f_map.domain
-    f = space.ambient.field
     amb = space.ambient
+    f = amb.field
     k = f.k
-    rows: list[tuple[int, ...]] = []
-    rhs: list[int] = []
-    for i, b in enumerate(space.basis.vectors):
-        mat = decode(amb, b)
-        for r in range(amb.nrows):
-            rows.append(mat.row_tuple(r))
-            rhs.append(f_map.values[i * k][r])
-    x = solve(Matrix(f, len(rows), amb.ncols, tuple(e for r in rows for e in r)), tuple(rhs))
+    mats = _prime_basis_matrices(space)
+    # the K-basis matrices are prime basis matrices i*k, with values i*k
+    k_mats, k_values = mats[::k], f_map.values[::k]
+    entries = tuple(e for m in k_mats for e in m.entries)
+    rhs = tuple(x for val in k_values for x in val)
+    x = solve(Matrix(f, len(k_mats) * amb.nrows, amb.ncols, entries), rhs)
     if x is None:
         return None
-    for u, val in zip(prime_basis_vectors(space), f_map.values):
-        if decode(amb, u).mat_vec(x) != val:
+    for m, val in zip(mats, f_map.values):
+        if m.mat_vec(x) != val:
             return None
     return x
 

@@ -63,6 +63,7 @@ from .rcmaps import (
     MapSpace,
     element_cap,
     evaluate,
+    evaluate_at_coeffs,
     is_linear,
     is_local,
     is_range_compatible,
@@ -180,12 +181,17 @@ def _pool_size(jobs: int, ncases: int) -> int:
 
 
 def _map_cases(worker, cases, jobs: int = 1):
+    """worker on every case, in case order, run in a pool of forked workers
+    when jobs allows.  Up to 64 cases per worker go one to a task, so that a
+    few uneven cases (the pivot sets of rank1-gaps, the class
+    representatives) go to whichever worker is free; more go in about eight
+    chunks per worker, which keeps the per-task cost small beside the work."""
     cases = list(cases)
     workers = _pool_size(jobs, len(cases))
     if workers > 1:
         ctx = get_context("fork")
         with ctx.Pool(processes=workers) as pool:
-            chunk = max(1, len(cases) // (workers * 8))
+            chunk = 1 if len(cases) <= 64 * workers else len(cases) // (workers * 8)
             return pool.map(worker, cases, chunksize=chunk)
     return [worker(c) for c in cases]
 
@@ -766,18 +772,28 @@ def _gap_count(field: FieldSpec, n: int, masks, ann_rows) -> int:
     return full.bit_length() // scalars - (hit & full // ((1 << scalars) - 1)).bit_count()
 
 
-def _rank1_case(field: FieldSpec, n: int, masks, ann_rows) -> list[dict]:
+def _rank1_case(field: FieldSpec, n: int, masks, ann_rows) -> tuple[dict, ...]:
+    """The case's failures as a tuple: a pool task returns up to 262,144
+    cases, and the empty tuple of a passing case pickles to one byte where
+    an empty list costs a memo entry each way."""
     gaps = _gap_count(field, n, masks, ann_rows)
     if gaps >= 2:
-        return []
+        return ()
     amb = Ambient(field, KIND_SYM, n, 0)
     space = OperatorSpace(amb, kernel_basis(matrix_from_rows(field, ann_rows)))
-    return [_failure(space, None, f"only {gaps} gap line(s); expected at least 2")]
+    return (_failure(space, None, f"only {gaps} gap line(s); expected at least 2"),)
 
 
-def _rank1_pivot_set(field: FieldSpec, n: int, masks, pivots) -> list[list[dict]]:
+def _rank1_pivot_set(field: FieldSpec, n: int, masks, pivots) -> list[tuple[dict, ...]]:
     """The cases whose annihilator has these pivots, in rref_rows order."""
     return [_rank1_case(field, n, masks, r) for r in rref_rows(field, n * (n + 1) // 2, pivots)]
+
+
+def _free_entries(d: int, pivots) -> int:
+    """The free entries of a reduced row echelon matrix over K^d with these
+    pivot columns, those right of a row's pivot in a column that is no
+    pivot: q to this power matrices have these pivots."""
+    return sum(1 for p in pivots for col in range(p + 1, d) if col not in pivots)
 
 
 def run_rank1_gaps(
@@ -790,8 +806,10 @@ def run_rank1_gaps(
     The orthogonality of each candidate c x x^T to each row with leading
     entry 1, as every annihilator row has, is computed once, here, as one
     bitmask per row; the cases then only AND the masks of their rows.  Each
-    pool task is one pivot set, in dual_rref_rows order, and returns its
-    cases in rref_rows order, so the flattened results keep that order."""
+    pool task is one pivot set and returns its cases in rref_rows order.
+    The sets are sent largest first, so the one set that holds nearly half
+    of the cases does not wait behind the others, and their results are put
+    back in dual_rref_rows order before they are flattened."""
     if n < 3:
         raise BadParams("the rank-one gap property needs n >= 3")
     cap = element_cap(cap)
@@ -803,7 +821,10 @@ def run_rank1_gaps(
         raise EnumerationCapExceeded(f"{total} proper subspaces exceeds cap {cap}")
     masks = _orthogonal_masks(field, _rank1_candidates(field, n), line_reps(field, d))
     pivot_sets = [pivots for c in range(1, d + 1) for pivots in combinations(range(d), c)]
-    per_set = _map_cases(partial(_rank1_pivot_set, field, n, masks), pivot_sets, jobs)
+    order = sorted(range(len(pivot_sets)), key=lambda i: -_free_entries(d, pivot_sets[i]))
+    worker = partial(_rank1_pivot_set, field, n, masks)
+    results = _map_cases(worker, [pivot_sets[i] for i in order], jobs)
+    per_set = [cases for _, cases in sorted(zip(order, results))]
     spec = SuiteSpec("rank1-gaps", field=field.label, n=n, cap=cap)
     return _finish(spec, [fails for cases in per_set for fails in cases], t0)
 
@@ -1048,9 +1069,11 @@ def _quotient_trial(seed: int, idx: int) -> list[dict]:
         return [
             _failure(space, coords_f, "quotient of a range-compatible map must be defined")
         ]
-    for _, mat in iter_space_elements(space):
+    # G(P s) goes through the matrix P s and its encoding, independently of
+    # the walk; P F(s) reads F(s) at the walk's own prime coefficients
+    for coeffs, mat in iter_space_elements(space):
         lhs = evaluate(g_map, p.matmul(mat))
-        rhs = p.mat_vec(evaluate(f_map, mat))
+        rhs = p.mat_vec(evaluate_at_coeffs(f_map, coeffs))
         if lhs != rhs:
             return [
                 _failure(space, coords_f, "quotient map does not commute with the projection")

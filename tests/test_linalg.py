@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from rckit.errors import ShapeMismatch
 from rckit.field import make_field
 from rckit.linalg import (
+    GenericAccumulator,
     Gf2Accumulator,
     Matrix,
     SubspaceBasis,
@@ -34,6 +35,8 @@ from rckit.linalg import (
 F2 = make_field(2)
 F3 = make_field(3)
 F4 = make_field(2, 2)
+F5 = make_field(5)
+F8 = make_field(2, 3)
 
 
 # -- brute-force oracles ----------------------------------------------------
@@ -236,6 +239,118 @@ def test_gf2_accumulator_matches_generic_accumulator(stream):
         tuple(r) for r in slow_rows
     ]
     assert fast.rank == slow.rank == len(fast_pivots)
+
+
+# -- the f.sub / f.mul elimination the table-driven code replaced ------------
+
+
+class ReferenceAccumulator:
+    """GenericAccumulator as it was before it read the field tables: every
+    entry of the width through f.sub and f.mul, zero entries included."""
+
+    def __init__(self, field, width):
+        self.field = field
+        self.width = width
+        self.rows = []
+        self.pivots = []
+
+    def add(self, row):
+        f = self.field
+        mul, sub = f.mul, f.sub
+        v = list(row)
+        for r, p in zip(self.rows, self.pivots):
+            c = v[p]
+            if c:
+                v = [sub(v[j], mul(c, r[j])) for j in range(self.width)]
+        p = next((j for j, x in enumerate(v) if x), None)
+        if p is None:
+            return False
+        s = f.inv(v[p])
+        if s != 1:
+            v = [mul(s, x) for x in v]
+        for i, r in enumerate(self.rows):
+            c = r[p]
+            if c:
+                self.rows[i] = [sub(r[j], mul(c, v[j])) for j in range(self.width)]
+        self.rows.append(v)
+        self.pivots.append(p)
+        return True
+
+    def rows_pivots(self):
+        order = sorted(range(len(self.pivots)), key=self.pivots.__getitem__)
+        return [self.rows[i] for i in order], sorted(self.pivots)
+
+
+def reference_coords_of(basis, v):
+    """SubspaceBasis.coords_of through f.sub and f.mul."""
+    f = basis.field
+    coeffs = tuple(v[p] for p in basis.pivots)
+    rem = list(v)
+    for c, row in zip(coeffs, basis.vectors):
+        if c:
+            rem = [f.sub(rem[j], f.mul(c, row[j])) for j in range(len(rem))]
+    if any(rem):
+        return None
+    return coeffs
+
+
+def random_combination(rng, field, vectors, width):
+    """A random K-combination of vectors (zero for none)."""
+    out = [0] * width
+    for vec in vectors:
+        c = rng.randrange(field.q)
+        for j, x in enumerate(vec):
+            out[j] = field.add(out[j], field.mul(c, x))
+    return tuple(out)
+
+
+TABLE_FIELDS = pytest.mark.parametrize("field", [F3, F4, F5, F8], ids=["f3", "f4", "f5", "f8"])
+
+
+@TABLE_FIELDS
+def test_table_accumulator_matches_reference(field):
+    rng = random.Random(f"accumulator:{field.q}")
+    for _ in range(80):
+        width = rng.randrange(0, 9)
+        rows = []
+        for _ in range(rng.randrange(0, 10)):
+            # fresh rows, zero rows and combinations of earlier rows, so
+            # that rows reduce to zero as well as raise the rank
+            pick = rng.randrange(3)
+            if pick == 0 and rows:
+                earlier = rng.sample(rows, min(3, len(rows)))
+                rows.append(random_combination(rng, field, earlier, width))
+            elif pick == 1:
+                rows.append((0,) * width)
+            else:
+                rows.append(tuple(rng.randrange(field.q) for _ in range(width)))
+        acc, ref = GenericAccumulator(field, width), ReferenceAccumulator(field, width)
+        for r in rows:
+            assert acc.add(r) == ref.add(r)
+        got_rows, got_pivots = acc.rows_pivots()
+        want_rows, want_pivots = ref.rows_pivots()
+        assert [tuple(r) for r in got_rows] == [tuple(r) for r in want_rows]
+        assert got_pivots == want_pivots
+        assert acc.rank == len(ref.rows) == len(want_pivots)
+
+
+@TABLE_FIELDS
+def test_table_coords_of_matches_reference(field):
+    rng = random.Random(f"coords:{field.q}")
+    outside = 0
+    for _ in range(60):
+        width = rng.randrange(1, 7)
+        gens = [tuple(rng.randrange(field.q) for _ in range(width)) for _ in range(width - 1)]
+        basis = SubspaceBasis.from_vectors(field, width, gens[: rng.randrange(0, width)])
+        for _ in range(5):
+            member = random_combination(rng, field, basis.vectors, width)
+            coeffs = basis.coords_of(member)
+            assert coeffs is not None and coeffs == reference_coords_of(basis, member)
+            other = tuple(rng.randrange(field.q) for _ in range(width))
+            want = reference_coords_of(basis, other)
+            assert basis.coords_of(other) == want
+            outside += want is None
+    assert outside > 0
 
 
 def test_kernel_edge_shapes():

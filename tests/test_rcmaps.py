@@ -17,7 +17,7 @@ from rckit.errors import (
     NotInDomain,
 )
 from rckit.field import make_field
-from rckit.linalg import Matrix, SubspaceBasis, left_kernel_rows, matrix_from_rows
+from rckit.linalg import Matrix, SubspaceBasis, left_kernel_rows, matrix_from_rows, solve
 from rckit.opspace import (
     KIND_ALT,
     KIND_FULL,
@@ -35,6 +35,7 @@ from rckit.opspace import (
     side_by_side,
     space_from_coords,
 )
+import rckit.rcmaps as rcmaps
 from rckit.rcmaps import (
     AdditiveMap,
     diag_root_linear_map,
@@ -78,6 +79,7 @@ from rckit.rcmaps import (
     _left_kernel,
     _naive_rc_maps_generic,
     _naive_rc_maps_gf2,
+    _prime_basis_matrices,
     _rc_element_walk,
 )
 
@@ -558,6 +560,93 @@ def test_is_range_compatible_spot_checks():
         is_range_compatible(zero_map(s), cap=3)
     with pytest.raises(DomainTooLarge):
         rc_solution_space(s, cap=3)
+
+
+def reference_is_range_compatible(f_map):
+    """is_range_compatible as it was: one solve of s x = F(s) per element."""
+    for coeffs, mat in iter_space_elements(f_map.domain):
+        value = evaluate_at_coeffs(f_map, coeffs)
+        if any(value) and solve(mat, value) is None:
+            return False
+    return True
+
+
+def _random_rc_map(space, rng):
+    """A random member of the solved range-compatible space."""
+    coords = [0] * map_coord_width(space)
+    p = space.ambient.field.p
+    for vec in rc_solution_space(space).basis.vectors:
+        c = rng.randrange(p)
+        coords = [(x + c * v) % p for x, v in zip(coords, vec)]
+    return map_from_coords(space, tuple(coords))
+
+
+def _nudged(f_map, rng):
+    """f_map with one entry of one prime-basis value changed: a map that
+    fails range-compatibility, if at all, on few elements."""
+    f = f_map.domain.ambient.field
+    values = [list(v) for v in f_map.values]
+    j, i = rng.randrange(len(values)), rng.randrange(len(values[0]))
+    values[j][i] = f.add(values[j][i], rng.randrange(1, f.q))
+    return AdditiveMap(f_map.domain, tuple(tuple(v) for v in values))
+
+
+def _random_space(rng, amb, max_gens):
+    gens = [tuple(rng.randrange(amb.field.q) for _ in range(amb.dim)) for _ in range(max_gens)]
+    return space_from_coords(amb, gens[: rng.randint(0, max_gens)])
+
+
+def _check_spaces(field, rng):
+    """Small random spaces over field, their side-by-side products with a
+    random rectangle space, and a zero space."""
+    max_dim = {2: 4, 3: 3, 4: 3, 5: 2, 8: 2}[field.q]
+    out = [space_from_coords(Ambient(field, KIND_SYM, 2, 1), [])]
+    for kind, n, m in [(KIND_SYM, 2, 1), (KIND_ALT, 3, 0), (KIND_FULL, 2, 2), (KIND_SYM, 3, 0)]:
+        out.extend(_random_space(rng, Ambient(field, kind, n, m), max_dim) for _ in range(3))
+    for _ in range(3):
+        left = _random_space(rng, Ambient(field, KIND_SYM, 2, 0), 2)
+        right = _random_space(rng, Ambient(field, KIND_FULL, 2, 1), max_dim - 2)
+        out.append(side_by_side(left, right))
+    return out
+
+
+@pytest.mark.parametrize("field", [F2, F3, F4, F5, F8], ids=["f2", "f3", "f4", "f5", "f8"])
+def test_is_range_compatible_matches_solve_reference(field):
+    rng = random.Random(f"range-check:{field.q}")
+    verdicts = {True: 0, False: 0}
+    for space in _check_spaces(field, rng):
+        rc_map = _random_rc_map(space, rng)
+        assert is_range_compatible(rc_map) and reference_is_range_compatible(rc_map)
+        verdicts[True] += 1
+        if space.dim == 0:
+            continue
+        for f_map in (random_map(space, rng), _nudged(rc_map, rng), _nudged(rc_map, rng)):
+            want = reference_is_range_compatible(f_map)
+            assert is_range_compatible(f_map) == want
+            verdicts[want] += 1
+    assert verdicts[False] > 0
+
+
+@pytest.mark.parametrize("field", [F2, F3, F4], ids=["f2", "f3", "f4"])
+def test_is_range_compatible_checks_the_cap_before_any_walk(field, monkeypatch):
+    def walked(*args):
+        raise AssertionError("walked a domain above the cap")
+
+    for name in ("_gf2_basis_keys", "_prime_basis_matrices", "_odometer", "iter_space_elements"):
+        monkeypatch.setattr(rcmaps, name, walked)
+    space = full_space(Ambient(field, KIND_SYM, 2, 0))
+    with pytest.raises(DomainTooLarge):
+        is_range_compatible(zero_map(space), cap=field.q**space.dim - 1)
+
+
+@pytest.mark.parametrize("field", [F2, F3, F4, F8], ids=["f2", "f3", "f4", "f8"])
+@pytest.mark.parametrize("kind", [KIND_SYM, KIND_ALT, KIND_FULL])
+def test_prime_basis_matrices_decode_the_prime_basis(field, kind):
+    amb = Ambient(field, kind, 3, 1)
+    ramp = tuple(t % field.q for t in range(1, amb.dim + 1))
+    space = space_from_coords(amb, [ramp, (1,) * amb.dim])
+    want = tuple(decode(amb, v) for v in prime_basis_vectors(space))
+    assert _prime_basis_matrices(space) == want
 
 
 def test_rc_cap_env_override(monkeypatch):
