@@ -217,8 +217,8 @@ def _cmd_lemmas(args) -> int:
             cap=args.cap,
             jobs=args.jobs,
         ),
-        run_quotient_property(trials, args.seed, args.jobs),
-        run_splitting_property(trials, args.seed, args.jobs),
+        run_quotient_property(trials, args.seed, args.jobs, args.cap),
+        run_splitting_property(trials, args.seed, args.jobs, args.cap),
     ]
     for report in reports:
         _print_report(report)

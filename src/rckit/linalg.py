@@ -318,10 +318,6 @@ def matrix_from_rows(field: FieldSpec, rows) -> Matrix:
     return Matrix(field, n, m, tuple(x for r in rows for x in r))
 
 
-def zero_matrix(field: FieldSpec, rows: int, cols: int) -> Matrix:
-    return Matrix(field, rows, cols, (0,) * (rows * cols))
-
-
 def kernel_basis(m: Matrix) -> SubspaceBasis:
     """Canonical basis of the right kernel {x : Mx = 0}."""
     f = m.field
@@ -369,11 +365,25 @@ def _free_column_kernel(field: FieldSpec, rows, pivots, width: int) -> list[Vec]
     return vecs
 
 
+def tracked_echelon(field: FieldSpec, vectors, width: int):
+    """echelonize [v_i | e_i] for vectors v_i of K^width.  Its rows span the
+    (sum of g_i v_i, g), so a reduced row (v, g) has g with sum g_i v_i = v.
+    A reduced row with its pivot at or past width is zero on the left, and
+    the others have independent left halves (one pivot each), so the former
+    span the (0, g) with sum g_i v_i = 0: their right halves are the
+    canonical basis of those relations, as the left halves of the latter
+    are the canonical basis of the span of the v_i."""
+    unit = (0,) * len(vectors)
+    aug = [tuple(v) + unit[:i] + (1,) + unit[i + 1 :] for i, v in enumerate(vectors)]
+    return echelonize(field, aug, width + len(vectors))
+
+
 def left_kernel_rows(field: FieldSpec, entries, rows: int, cols: int) -> list[Vec]:
-    """Canonical basis of {a : a M = 0} for a flat row-major entry tuple."""
-    cols_as_rows = [tuple(entries[i * cols + j] for i in range(rows)) for j in range(cols)]
-    m = matrix_from_rows(field, cols_as_rows) if cols_as_rows else zero_matrix(field, 0, rows)
-    return list(kernel_basis(m).vectors)
+    """Canonical basis of {a : a M = 0} for a flat row-major entry tuple: the
+    relations among the rows of M, from one tracked_echelon."""
+    m_rows = [entries[i * cols : (i + 1) * cols] for i in range(rows)]
+    reduced, pivots = tracked_echelon(field, m_rows, cols)
+    return [r[cols:] for r, p in zip(reduced, pivots) if p >= cols]
 
 
 def solve(m: Matrix, b) -> Vec | None:

@@ -134,6 +134,8 @@ def encode(amb: Ambient, mat: Matrix):
             f"shape {mat.rows}x{mat.cols}, ambient wants {amb.nrows}x{amb.ncols}"
         )
     e = mat.entries
+    if amb.kind == KIND_FULL:  # its layout is the identity and holds every matrix
+        return tuple(e)
     coords = tuple(e[slots[0][0]] for slots in layout(amb))
     if _entries(amb, coords) != e:
         raise MatrixNotInAmbient(f"matrix is not in the {amb.kind} ambient")
@@ -225,9 +227,11 @@ def place_in_product(left: Ambient, right: Ambient, left_vecs, right_vecs) -> li
     return out
 
 
+@lru_cache(maxsize=8)
 def side_by_side(a: OperatorSpace, b: OperatorSpace) -> OperatorSpace:
     """All matrices [M | R] with M in a and R in b; b must be a space of
-    rectangles with the same number of rows."""
+    rectangles with the same number of rows.  Cached: a splitting-lemma trial
+    builds one product three times, and equality ignores product_of."""
     _check_same_field(a, b)
     if b.ambient.kind != KIND_FULL or b.ambient.nrows != a.ambient.nrows:
         raise AmbientMismatch("second factor must be full rectangles with matching rows")

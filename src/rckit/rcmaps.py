@@ -15,11 +15,10 @@ Everything here reduces questions about such maps to F_p-linear algebra:
   Two builders produce them.  In characteristic 2 the prime coefficients
   are bits, and a packed-bitset walk visits the elements in Gray-code order
   over the prime basis (`_rc_gray_gf2`).  In odd characteristic the element
-  walk (`_rc_element_walk`) visits the element matrices in odometer order,
+  walk (`_rc_element_walk`) visits the element entries in odometer order,
   each step adding the entries of one prime basis matrix, and builds tuple
-  rows (`_constraint_rows_for`); it is also the reference the tests compare
-  the Gray walk against on every field (see rc_solution_space for why the
-  two agree).  Given a target space of maps known to be range-compatible,
+  rows from the cached constraint patterns of each matrix (`_odd_patterns`).
+  Given a target space of maps known to be range-compatible,
   both walks first visit the elements of low weight (support size in the
   prime basis, up to _PREFIX_WEIGHT), one per F_p-line, and then, unless
   those rows already certify that the target is all of RC, the whole walk
@@ -62,8 +61,10 @@ from .linalg import (
     make_accumulator,
     matrix_from_rows,
     solve,
+    tracked_echelon,
 )
 from .opspace import (
+    KIND_FULL,
     KIND_SYM,
     Ambient,
     OperatorSpace,
@@ -74,7 +75,7 @@ from .opspace import (
     product_coords,
     projection_table,
     quotient_projection,
-    quotient_space,
+    quotient_space,  # not called: perfbench/tracer.py patches rcmaps's name
     side_by_side,
     space_from_json,
     space_to_json,
@@ -96,16 +97,6 @@ def element_cap(cap: int | None = None) -> int:
 
 def prime_field(space: OperatorSpace) -> FieldSpec:
     return make_field(space.ambient.field.p)
-
-
-def prime_basis_vectors(space: OperatorSpace):
-    """The F_p-basis x^t * b_i of S, indexed by j = i*k + t."""
-    f = space.ambient.field
-    out = []
-    for b in space.basis.vectors:
-        for lam in f.power_basis:
-            out.append(tuple(f.mul(lam, x) for x in b))
-    return out
 
 
 def map_coord_width(space: OperatorSpace) -> int:
@@ -213,16 +204,11 @@ def evaluate_at_coeffs(f_map: AdditiveMap, coeffs) -> tuple[int, ...]:
     return tuple(acc)
 
 
-def _value_at(f_map: AdditiveMap, coords) -> tuple[int, ...]:
-    """F at the element with these ambient coordinates."""
-    return evaluate_at_coeffs(f_map, prime_coeffs_of(f_map.domain, coords))
-
-
 def _values_on_line(f_map: AdditiveMap, gamma) -> list[tuple[int, ...]]:
     """F(lam s) for each lam of the power basis, s = sum of gamma_i b_i."""
     f = f_map.domain.ambient.field
     return [
-        evaluate_at_coeffs(f_map, _coords_of_values(f, ([f.mul(lam, g) for g in gamma],)))
+        evaluate_at_coeffs(f_map, _coords_of_values(f, ([f.mul_table[lam][g] for g in gamma],)))
         for lam in f.power_basis
     ]
 
@@ -232,7 +218,7 @@ def evaluate(f_map: AdditiveMap, mat: Matrix) -> tuple[int, ...]:
     space = f_map.domain
     if mat.field is not space.ambient.field:
         raise MixedFields("matrix over a different field")
-    return _value_at(f_map, encode(space.ambient, mat))
+    return evaluate_at_coeffs(f_map, prime_coeffs_of(space, encode(space.ambient, mat)))
 
 
 def map_to_coords(f_map: AdditiveMap) -> tuple[int, ...]:
@@ -392,31 +378,6 @@ class MapGenerators:
         return MapSpace(self.domain, SubspaceBasis.from_vectors(fp, width, vecs))
 
 
-def _constraint_rows_for(space: OperatorSpace, coeffs, ann_row, stride: int):
-    """The k F_p-rows forcing <a, F(s)> = 0 for one element s and one
-    annihilator row a of its column space."""
-    f = space.ambient.field
-    p, k = f.p, f.k
-    n = space.ambient.nrows
-    width = map_coord_width(space)
-    lams = f.power_basis
-    rows = [[0] * width for _ in range(k)]
-    support = [j for j, c in enumerate(coeffs) if c]
-    for i in range(n):
-        ai = ann_row[i]
-        if not ai:
-            continue
-        for u in range(k):
-            digs = f.prime_coords(f.mul(ai, lams[u]))
-            for j in support:
-                cj = coeffs[j]
-                idx = j * stride + i * k + u
-                for w in range(k):
-                    if digs[w]:
-                        rows[w][idx] = (cj * digs[w]) % p
-    return rows
-
-
 def rc_solution_space(
     space: OperatorSpace, cap: int | None = None, target: MapGenerators | None = None
 ) -> MapSpace | None:
@@ -434,12 +395,11 @@ def rc_solution_space(
       comb has bit j*stride for each basis matrix j in the element's
       support.  The product is carry-free because every pattern is below
       2^stride.
-    * odd p: `_rc_element_walk`, which folds `_constraint_rows_for` rows.
-      It runs on every field and is the reference the tests compare the
-      Gray walk against.
+    * odd p: `_rc_element_walk`, an odometer walk over the entries whose
+      rows are c_j times a cached pattern in the slot of each basis matrix j.
 
-    The two are interchangeable because the result depends only on the span
-    of the constraint rows: any basis of the left kernel of s spans the same
+    Walk order and kernel bases do not matter: the result depends only on the
+    span of the constraint rows, any basis of the left kernel of s spans the same
     rows (the rows of a are F_p-linear in a, and those of c*a are F_p-
     combinations of those of a), and the Gray order visits each nonzero
     element exactly once, as the odometer order does.  The zero element
@@ -578,32 +538,37 @@ def _left_kernel(f: FieldSpec, entries: tuple[int, ...], n: int, ncols: int) -> 
 
 @lru_cache(maxsize=1 << 16)
 def _char2_patterns(f: FieldSpec, key: int, n: int, ncols: int) -> tuple[int, ...]:
-    """The constraint patterns of the n x ncols matrix over f, of
-    characteristic 2 and degree k > 1, whose entry (i, c) is the k-bit slot
-    (i*ncols + c)*k of key.
-
-    For each vector a of the canonical basis of the left kernel there are k
-    patterns: bit i*k + u of pattern_w is digit w of a_i x^u, so pattern_w
-    shifted by j*stride is the row forcing digit w of <a, F(u_j)> to
-    vanish, and the sum of such shifts over the support of an element s
-    does so for <a, F(s)>.  Zero patterns are dropped.  Over F_2 the one
-    pattern of a is its bitmask of rows, which _gf2_left_kernel computes
-    without leaving packed ints.  The result depends on the field and the
+    """The patterns of _kernel_patterns as bitmasks, bit t for entry t, of
+    the n x ncols matrix over f, of characteristic 2 and degree k > 1, whose
+    entry (i, c) is the k-bit slot (i*ncols + c)*k of key: pattern_w shifted
+    by j*stride is the row forcing digit w of <a, F(u_j)> to vanish, and the
+    sum of such shifts over the support of s does so for <a, F(s)>.  Zero
+    patterns are dropped.  Over F_2 the one pattern of a is its bitmask of
+    rows, from _gf2_left_kernel.  The result depends on the field and the
     matrix alone, so the cache is shared by every solve in the process.
     """
-    k = f.k
-    entries = tuple((key >> (t * k)) & (f.q - 1) for t in range(n * ncols))
+    entries = tuple((key >> (t * f.k)) & (f.q - 1) for t in range(n * ncols))
+    packed = (sum(d << t for t, d in enumerate(p)) for p in _kernel_patterns(f, entries, n, ncols))
+    return tuple(pat for pat in packed if pat)
+
+
+def _kernel_patterns(f: FieldSpec, entries: tuple[int, ...], n: int, ncols: int) -> tuple:
+    """The constraint patterns of the n x ncols matrix over f with these
+    entries, as tuples: for each vector a of the canonical basis of the left
+    kernel, k patterns with entry i*k + u of pattern_w digit w of a_i x^u.
+    The row forcing digit w of <a, F(s)> = 0 is then the concatenation over
+    j of c_j * pattern_w, c_j the prime coefficients of s: digit w of
+    <a, F(s)> is the sum over j, i and u of c_j, digit u of F(u_j)_i and
+    digit w of a_i x^u.  Over F_p (k = 1) the one pattern of a is a itself."""
     out = []
     for a in left_kernel_rows(f, entries, n, ncols):
-        patterns = [0] * k
-        for i, ai in enumerate(a):
-            if ai:
-                for u, lam in enumerate(f.power_basis):
-                    for w, dig in enumerate(f.prime_coords(f.mul(ai, lam))):
-                        if dig:
-                            patterns[w] |= 1 << (i * k + u)
-        out.extend(pat for pat in patterns if pat)
+        digits = [f.prime_coords(f.mul(ai, lam)) for ai in a for lam in f.power_basis]
+        out.extend(tuple(d[w] for d in digits) for w in range(f.k))
     return tuple(out)
+
+
+# cached per matrix like _char2_patterns, for odd p and k > 1 (F_p reads _left_kernel)
+_odd_patterns = lru_cache(maxsize=1 << 16)(_kernel_patterns)
 
 
 def _rc_gray_gf2(
@@ -659,34 +624,32 @@ def _rc_gray_gf2(
 def _rc_element_walk(
     space: OperatorSpace, target: MapGenerators | None = None
 ) -> MapSpace | None:
-    """The reference solve for every field: walk the element matrices, take
-    the canonical basis of each one's left kernel (from _left_kernel) and
-    fold the `_constraint_rows_for` rows, packed in characteristic 2 for the F_2
-    accumulator.  With a target the low-weight prefix (see
-    rc_solution_space) comes first.  No element cap here: callers check it.
+    """The solve in odd characteristic: walk the element entries in odometer
+    order, with the low-weight prefix (see rc_solution_space) first when
+    there is a target, and fold for each pattern of each element (see
+    _kernel_patterns) the row that is c_j times the pattern in the stride
+    slot of every prime basis matrix j, c_j the element's prime
+    coefficients.  No element cap here: callers check it.
     """
-    f = space.ambient.field
-    n, ncols = space.ambient.nrows, space.ambient.ncols
-    stride = n * f.k
+    amb = space.ambient
+    f = amb.field
+    p, n, ncols = f.p, amb.nrows, amb.ncols
     acc = make_accumulator(prime_field(space), map_coord_width(space))
     goal = _goal(acc, target)
     if goal == 0:
         return None
-    packed = isinstance(acc, Gf2Accumulator)
-    elements = iter_space_elements(space)
+    patterns = _left_kernel if f.k == 1 else _odd_patterns
+    mats = [m.entries for m in _prime_basis_matrices(space)]
+    elements = _odometer(f, mats, n * ncols)
     if target is not None:
-        elements = chain(_low_weight_matrices(space), elements)
-    for coeffs, mat in elements:
+        elements = chain(_low_weight_entries(f, mats, n * ncols), elements)
+    for coeffs, entries in elements:
         if not any(coeffs):
             continue
-        for a in _left_kernel(f, mat.entries, n, ncols):
-            for row in _constraint_rows_for(space, coeffs, a, stride):
-                if not any(row):
-                    continue
-                if packed:
-                    row = sum(1 << t for t, x in enumerate(row) if x)
-                if acc.add(row) and acc.rank == goal and _cuts_out(acc, target):
-                    return None
+        for pat in patterns(f, entries, n, ncols):
+            row = tuple([c * x % p for c in coeffs for x in pat])
+            if acc.add(row) and acc.rank == goal and _cuts_out(acc, target):
+                return None
     return _solution_space(space, acc)
 
 
@@ -704,23 +667,20 @@ def _low_weight_elements(d: int, p: int) -> tuple:
     )
 
 
-def _low_weight_matrices(space: OperatorSpace):
-    """The prefix elements as iter_space_elements yields elements: (prime
-    coefficients, matrix), the matrix the sum of c_j times prime basis
-    matrix j."""
-    amb = space.ambient
-    f = amb.field
-    mats = [m.entries for m in _prime_basis_matrices(space)]
-    d = len(mats)
-    for support, cs in _low_weight_elements(d, f.p):
-        coeffs = [0] * d
-        entries = [0] * (amb.nrows * amb.ncols)
+def _low_weight_entries(f: FieldSpec, mats, size: int):
+    """The prefix elements as _odometer yields elements: (prime
+    coefficients, entries), the entries the sum of c_j times the flat prime
+    basis matrix j of mats."""
+    add, mul = f.add_table, f.mul_table
+    for support, cs in _low_weight_elements(len(mats), f.p):
+        coeffs = [0] * len(mats)
+        entries = [0] * size
         for j, c in zip(support, cs):
             coeffs[j] = c
             for t, x in enumerate(mats[j]):
                 if x:
-                    entries[t] = f.add(entries[t], f.mul(c, x))
-        yield tuple(coeffs), Matrix(f, amb.nrows, amb.ncols, tuple(entries))
+                    entries[t] = add[entries[t]][mul[c][x]]
+        yield tuple(coeffs), tuple(entries)
 
 
 def _solution_space(space: OperatorSpace, acc) -> MapSpace:
@@ -1046,59 +1006,85 @@ def linear_rc_space(rc: MapSpace) -> MapSpace:
 
 
 def quotient_map(f_map: AdditiveMap, w: SubspaceBasis, p_mat: Matrix | None = None) -> AdditiveMap:
-    """Push F down to the quotient space {P s : s in S}, P projecting along w
-    (quotient_projection(S, w) unless the caller passes it).
+    """Push F down to the quotient space Q = {P s : s in S}, P projecting
+    along w (quotient_projection(S, w) unless the caller passes it).
 
     Raises IllDefined unless F maps {s in S : P s = 0} into the kernel of P,
-    which is exactly when G(P s) = P F(s) defines a map.
+    which is exactly when G(P s) = P F(s) defines a map.  One tracked_echelon
+    of the phi(b_i), phi taking the coordinates of s to those of P s, gives
+    Q's canonical basis with a preimage of each vector, and the canonical
+    basis of the kernel of phi.  P F vanishing on lam * s for each kernel
+    vector and each lam of the power basis means it vanishes on their
+    F_p-span, the whole kernel, so every preimage gives the same values.
     """
     space = f_map.domain
     f = space.ambient.field
     p_mat = quotient_projection(space, w) if p_mat is None else p_mat
-    q_space = quotient_space(space, w, p_mat)
-    # K-linear projection phi : coords(S) -> coords(Q), columns phi(b_i)
     table = projection_table(space.ambient, p_mat)
+    width = table.rows
     images = [table.mat_vec(b) for b in space.basis.vectors]
-    phi_cols = matrix_from_rows(f, images).transpose() if images else Matrix(f, table.rows, 0, ())
-    # well-definedness on the kernel of phi within S
-    for gamma in kernel_basis(phi_cols).vectors:
-        if any(any(p_mat.mat_vec(v)) for v in _values_on_line(f_map, gamma)):
-            raise IllDefined("map does not vanish where the projection does")
-    # values on the prime basis of the quotient
-    values = []
-    for qb in q_space.basis.vectors:
-        gamma = solve(phi_cols, qb)
-        assert gamma is not None  # qb is in the image of phi by construction
-        values.extend(p_mat.mat_vec(v) for v in _values_on_line(f_map, gamma))
+    vecs, pivots, values = [], [], []
+    for row, piv in zip(*tracked_echelon(f, images, width)):
+        line = [p_mat.mat_vec(v) for v in _values_on_line(f_map, row[width:])]
+        if piv >= width:
+            if any(map(any, line)):
+                raise IllDefined("map does not vanish where the projection does")
+        else:
+            vecs.append(row[:width])
+            pivots.append(piv)
+            values.extend(line)
+    q_amb = Ambient(f, KIND_FULL, p_mat.rows, space.ambient.ncols)
+    q_space = OperatorSpace(q_amb, SubspaceBasis(f, width, tuple(vecs), tuple(pivots)))
     return AdditiveMap(q_space, tuple(values))
 
 
+def iter_projected(f_map: AdditiveMap, p_mat: Matrix):
+    """Yield (P s, P F(s)) for every element s of F's domain, in the order of
+    iter_space_elements, from one _odometer walk over [P u_j | P F(u_j)] for
+    the prime basis vectors u_j: s -> P s is linear and F additive, so both
+    are sums of c_j times those of the u_j, c_j the prime coefficients of s."""
+    space = f_map.domain
+    f = space.ambient.field
+    rows, ncols = p_mat.rows, space.ambient.ncols
+    size = rows * ncols
+    mats = _prime_basis_matrices(space)
+    vectors = [p_mat.matmul(m).entries + p_mat.mat_vec(v) for m, v in zip(mats, f_map.values)]
+    for _, cur in _odometer(f, vectors, size + rows):
+        yield Matrix(f, rows, ncols, cur[:size]), cur[size:]
+
+
 def join_maps(f_map: AdditiveMap, g_map: AdditiveMap) -> AdditiveMap:
-    """The map [M | R] -> F(M) + G(R) on the side-by-side product."""
+    """The map [M | R] -> F(M) + G(R) on the side-by-side product.  A basis
+    vector of the product restricted to one factor's coordinates lies in
+    that factor, and a member of a reduced basis has its coordinates at the
+    pivots, so F and G are read on each line with no coordinate solve."""
     a, b = f_map.domain, g_map.domain
     s = side_by_side(a, b)
-    add = s.ambient.field.add
+    add = s.ambient.field.add_table
     where = product_coords(a.ambient, b.ambient)
-    split = a.ambient.dim
+    in_a = [where[p] for p in a.basis.pivots]
+    in_b = [where[a.ambient.dim + p] for p in b.basis.pivots]
     values = []
-    for v in prime_basis_vectors(s):
-        parts = [v[u] for u in where]
-        fv = _value_at(f_map, parts[:split])
-        gv = _value_at(g_map, parts[split:])
-        values.append(tuple(add(x, y) for x, y in zip(fv, gv)))
+    for v in s.basis.vectors:
+        fv = _values_on_line(f_map, [v[u] for u in in_a])
+        gv = _values_on_line(g_map, [v[u] for u in in_b])
+        for fx, gy in zip(fv, gv):
+            values.append(tuple(add[c][d] for c, d in zip(fx, gy)))
     return AdditiveMap(s, tuple(values))
 
 
 def split_map(f_map: AdditiveMap) -> tuple[AdditiveMap, AdditiveMap]:
-    """Undo join_maps on a domain built by side_by_side."""
+    """Undo join_maps on a domain built by side_by_side: F is read on each
+    line of the factors' bases placed in the product, whose coordinates are
+    their entries at the product's pivots (see join_maps)."""
     s = f_map.domain
     if s.product_of is None:
         raise AmbientMismatch("domain was not built by side_by_side")
     a, b = s.product_of
-    pa = prime_basis_vectors(a)
-    placed = place_in_product(a.ambient, b.ambient, pa, prime_basis_vectors(b))
-    values = tuple(_value_at(f_map, w) for w in placed)
-    return AdditiveMap(a, values[: len(pa)]), AdditiveMap(b, values[len(pa) :])
+    placed = place_in_product(a.ambient, b.ambient, a.basis.vectors, b.basis.vectors)
+    values = [v for w in placed for v in _values_on_line(f_map, [w[p] for p in s.basis.pivots])]
+    cut = len(values) - b.dim * s.ambient.field.k
+    return AdditiveMap(a, tuple(values[:cut])), AdditiveMap(b, tuple(values[cut:]))
 
 
 # ---------------------------------------------------------------------------

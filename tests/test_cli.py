@@ -107,6 +107,14 @@ def test_env_cap_is_respected(monkeypatch, capsys):
     assert "cap" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("suite", ["quotient-lemma", "splitting-lemma"])
+def test_lemma_trials_respect_the_cap(suite, capsys):
+    # every nonzero trial space has more than one element
+    code = main(["verify", "--suite", suite, "--trials", "20", "--cap", "1"])
+    assert code == 2
+    assert "cap" in capsys.readouterr().err
+
+
 def test_verify_falsified_exit_1(monkeypatch, capsys):
     fake = VerificationReport(
         SuiteSpec("sym-main", field="2"),

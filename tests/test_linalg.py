@@ -29,7 +29,6 @@ from rckit.linalg import (
     matrix_from_rows,
     solve,
     sum_spaces,
-    zero_matrix,
 )
 
 F2 = make_field(2)
@@ -37,9 +36,14 @@ F3 = make_field(3)
 F4 = make_field(2, 2)
 F5 = make_field(5)
 F8 = make_field(2, 3)
+F9 = make_field(3, 2)
 
 
 # -- brute-force oracles ----------------------------------------------------
+
+
+def zero_matrix(field, rows, cols):
+    return Matrix(field, rows, cols, (0,) * (rows * cols))
 
 
 def identity_matrix(field, n):
@@ -377,6 +381,32 @@ def test_column_space_and_left_kernel():
                     prod[j] = acc
                 assert not any(prod)
             assert len(left_kernel_rows(field, m.entries, m.rows, m.cols)) == m.rows - rank(m)
+
+
+def reference_left_kernel_rows(field, entries, rows, cols):
+    """left_kernel_rows as it was: the right kernel of the transpose."""
+    cols_as_rows = [tuple(entries[i * cols + j] for i in range(rows)) for j in range(cols)]
+    m = matrix_from_rows(field, cols_as_rows) if cols_as_rows else zero_matrix(field, 0, rows)
+    return list(kernel_basis(m).vectors)
+
+
+@pytest.mark.parametrize("field", [F2, F3, F4, F5, F8, F9], ids=lambda f: f"q{f.q}")
+def test_left_kernel_rows_matches_transpose_reference(field):
+    rng = random.Random(f"left-kernel:{field.q}")
+    shapes = [(r, c) for r in range(5) for c in range(5)]
+    mats = [zero_matrix(field, r, c) for r, c in shapes]
+    mats += [identity_matrix(field, n) for n in range(1, 5)]
+    for _ in range(4):
+        for r, c in shapes:
+            mats.append(random_matrix(rng, field, r, c))
+            # rank at most 2: every row a combination of the same two rows
+            if r and c:
+                pair = random_matrix(rng, field, 2, c)
+                mix = random_matrix(rng, field, r, 2)
+                mats.append(mix.matmul(pair))
+    for m in mats:
+        want = reference_left_kernel_rows(field, m.entries, m.rows, m.cols)
+        assert left_kernel_rows(field, m.entries, m.rows, m.cols) == want, m
 
 
 def test_solve():

@@ -26,11 +26,12 @@ from rckit.rcmaps import (
     AdditiveMap,
     evaluate,
     join_maps,
-    prime_basis_vectors,
     random_map,
     split_map,
 )
 from rckit.verify import _SPLIT_SHAPES
+
+from test_rcmaps import prime_basis_vectors
 
 F2 = make_field(2)
 F3 = make_field(3)

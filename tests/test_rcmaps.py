@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import random
-from itertools import product
+from itertools import chain, product
 
 import pytest
 from hypothesis import example, given, settings
@@ -17,7 +17,17 @@ from rckit.errors import (
     NotInDomain,
 )
 from rckit.field import make_field
-from rckit.linalg import Matrix, SubspaceBasis, left_kernel_rows, matrix_from_rows, solve
+from rckit.linalg import (
+    Gf2Accumulator,
+    Matrix,
+    SubspaceBasis,
+    accumulator_kernel,
+    kernel_basis,
+    left_kernel_rows,
+    make_accumulator,
+    matrix_from_rows,
+    solve,
+)
 from rckit.opspace import (
     KIND_ALT,
     KIND_FULL,
@@ -31,7 +41,9 @@ from rckit.opspace import (
     decode,
     enumerate_subspaces_up_to,
     full_space,
+    projection_table,
     quotient_projection,
+    quotient_space,
     side_by_side,
     space_from_coords,
 )
@@ -45,6 +57,7 @@ from rckit.rcmaps import (
     is_local,
     is_range_compatible,
     is_standard,
+    iter_projected,
     iter_space_elements,
     join_maps,
     linear_maps_space,
@@ -58,8 +71,9 @@ from rckit.rcmaps import (
     map_from_json,
     map_to_coords,
     map_to_json,
+    MapSpace,
     naive_rc_maps,
-    prime_basis_vectors,
+    prime_field,
     quotient_map,
     random_map,
     rc_solution_space,
@@ -72,11 +86,13 @@ from rckit.rcmaps import (
     MapGenerators,
     _char2_generators,
     _char2_patterns,
-    _constraint_rows_for,
+    _cuts_out,
     _decoded_generators,
     _gf2_basis_keys,
     _gf2_left_kernel,
+    _goal,
     _left_kernel,
+    _low_weight_entries,
     _naive_rc_maps_generic,
     _naive_rc_maps_gf2,
     _prime_basis_matrices,
@@ -88,6 +104,14 @@ F3 = make_field(3)
 F4 = make_field(2, 2)
 F5 = make_field(5)
 F8 = make_field(2, 3)
+F9 = make_field(3, 2)
+
+
+def prime_basis_vectors(space):
+    """The F_p-basis x^t * b_i of a space in coordinates, indexed by
+    j = i*k + t: the order of the values of an additive map."""
+    f = space.ambient.field
+    return [tuple(f.mul(lam, x) for x in b) for b in space.basis.vectors for lam in f.power_basis]
 
 
 def zero_map(space):
@@ -237,6 +261,62 @@ def small_spaces(draw, field):
     return space_from_coords(amb, draw(st.lists(vec, max_size=size)))
 
 
+def _constraint_rows_for(space, coeffs, ann_row, stride):
+    """The k F_p-rows forcing <a, F(s)> = 0 for one element s and one
+    annihilator row a of its column space, built entry by entry."""
+    f = space.ambient.field
+    p, k = f.p, f.k
+    n = space.ambient.nrows
+    width = map_coord_width(space)
+    lams = f.power_basis
+    rows = [[0] * width for _ in range(k)]
+    support = [j for j, c in enumerate(coeffs) if c]
+    for i in range(n):
+        ai = ann_row[i]
+        if not ai:
+            continue
+        for u in range(k):
+            digs = f.prime_coords(f.mul(ai, lams[u]))
+            for j in support:
+                cj = coeffs[j]
+                idx = j * stride + i * k + u
+                for w in range(k):
+                    if digs[w]:
+                        rows[w][idx] = (cj * digs[w]) % p
+    return rows
+
+
+def reference_element_walk(space, target=None):
+    """The solve for every field as it was: walk the element matrices, take
+    the canonical basis of each one's left kernel and fold the tuple rows of
+    _constraint_rows_for, packed in characteristic 2 for the F_2
+    accumulator; with a target the low-weight prefix comes first."""
+    f = space.ambient.field
+    n, ncols = space.ambient.nrows, space.ambient.ncols
+    acc = make_accumulator(prime_field(space), map_coord_width(space))
+    goal = _goal(acc, target)
+    if goal == 0:
+        return None
+    packed = isinstance(acc, Gf2Accumulator)
+    elements = iter_space_elements(space)
+    if target is not None:
+        mats = [m.entries for m in _prime_basis_matrices(space)]
+        prefix = _low_weight_entries(f, mats, n * ncols)
+        elements = chain(((c, Matrix(f, n, ncols, e)) for c, e in prefix), elements)
+    for coeffs, mat in elements:
+        if not any(coeffs):
+            continue
+        for a in left_kernel_rows(f, mat.entries, n, ncols):
+            for row in _constraint_rows_for(space, coeffs, a, n * f.k):
+                if not any(row):
+                    continue
+                if packed:
+                    row = sum(1 << t for t, x in enumerate(row) if x)
+                if acc.add(row) and acc.rank == goal and _cuts_out(acc, target):
+                    return None
+    return MapSpace(space, accumulator_kernel(prime_field(space), acc))
+
+
 # 228 examples keep about as many spaces per field (57) as the
 # characteristic-2 test this one extends had
 @settings(max_examples=228, deadline=None, derandomize=True)
@@ -247,7 +327,7 @@ def small_spaces(draw, field):
 @example(full_space(Ambient(F8, KIND_FULL, 2, 2)))
 @example(full_space(Ambient(F3, KIND_SYM, 2, 1)))
 def test_solvers_match_element_walk_with_and_without_target(space):
-    full = _rc_element_walk(space)
+    full = reference_element_walk(space)
     assert rc_solution_space(space) == full
     # local maps are range-compatible on every ambient, and standard maps on
     # symmetric ones, so they are valid targets for both walks, which fold
@@ -259,14 +339,40 @@ def test_solvers_match_element_walk_with_and_without_target(space):
     for gens in targets:
         want = None if full == gens.span() else full
         assert rc_solution_space(space, target=gens) == want
-        assert _rc_element_walk(space, target=gens) == want
+        assert reference_element_walk(space, target=gens) == want
 
 
 def test_gf2_packed_solver_matches_element_walk_on_sym3_codim1():
     cases = list(enumerate_subspaces_up_to(Ambient(F2, KIND_SYM, 3, 0), 1))
     assert len(cases) == 64
     for s in cases:
-        assert rc_solution_space(s) == _rc_element_walk(s)
+        assert rc_solution_space(s) == reference_element_walk(s)
+
+
+F7 = make_field(7)
+
+
+@pytest.mark.parametrize("field", [F3, F5, F7, F9], ids=["f3", "f5", "f7", "f9"])
+def test_pattern_walk_matches_tuple_row_reference(field):
+    # the odd-characteristic solve reads cached patterns, the reference
+    # builds each row entry by entry; both fold the same rows in order
+    rng = random.Random(f"pattern-walk:{field.q}")
+    max_gens = {3: 4, 5: 3, 7: 2, 9: 2}[field.q]
+    spaces = [space_from_coords(Ambient(field, KIND_SYM, 2, 1), [])]
+    for kind, n, m in [(KIND_SYM, 2, 1), (KIND_ALT, 3, 0), (KIND_FULL, 2, 2), (KIND_SYM, 3, 0)]:
+        spaces.extend(_random_space(rng, Ambient(field, kind, n, m), max_gens) for _ in range(3))
+    spaces.append(side_by_side(_random_space(rng, Ambient(field, KIND_SYM, 2, 0), 1),
+                               _random_space(rng, Ambient(field, KIND_FULL, 2, 1), 1)))
+    for space in spaces:
+        full = reference_element_walk(space)
+        assert _rc_element_walk(space) == full
+        targets = [local_generators(space)]
+        if space.ambient.kind == KIND_SYM:
+            targets.append(standard_generators(space))
+        for gens in targets:
+            want = reference_element_walk(space, target=gens)
+            assert want == (None if full == gens.span() else full)
+            assert _rc_element_walk(space, target=gens) == want
 
 
 @pytest.mark.parametrize(
@@ -314,12 +420,13 @@ def test_certified_stop_falls_back_over_f3():
             (0, 0, 0, 0, 1, 2, 0, 0, 0, 2, 0, 0, 1, 1),
         ],
     )
-    full = _rc_element_walk(s)
+    full = reference_element_walk(s)
     assert s.dim == 5 and full.dim == 6
     for gens in (local_generators(s), standard_generators(s)):
         assert gens.span().dim == 5
         assert rc_solution_space(s, target=gens) == full
         assert _rc_element_walk(s, target=gens) == full
+        assert reference_element_walk(s, target=gens) == full
 
 
 def _wrong_target(space, rc):
@@ -358,7 +465,7 @@ def test_certified_stop_never_returns_a_wrong_target(space):
     rc = rc_solution_space(space)
     wrong = _wrong_target(space, rc)
     assert rc_solution_space(space, target=wrong) == rc
-    assert _rc_element_walk(space, target=wrong) == rc
+    assert reference_element_walk(space, target=wrong) == rc
 
 
 def test_certified_stop_rejects_a_target_on_another_domain():
@@ -817,6 +924,82 @@ def test_quotient_map_ill_defined():
     assert g.domain.ambient.nrows == 1
 
 
+def reference_quotient_map(f_map, w, p_mat=None):
+    """quotient_map as it was: the kernel of phi from kernel_basis, and one
+    solve per basis vector of quotient_space for a preimage."""
+    space = f_map.domain
+    f = space.ambient.field
+    p_mat = quotient_projection(space, w) if p_mat is None else p_mat
+    q_space = quotient_space(space, w, p_mat)
+    table = projection_table(space.ambient, p_mat)
+    images = [table.mat_vec(b) for b in space.basis.vectors]
+    phi_cols = matrix_from_rows(f, images).transpose() if images else Matrix(f, table.rows, 0, ())
+    for gamma in kernel_basis(phi_cols).vectors:
+        if any(any(p_mat.mat_vec(v)) for v in rcmaps._values_on_line(f_map, gamma)):
+            raise IllDefined("map does not vanish where the projection does")
+    values = []
+    for qb in q_space.basis.vectors:
+        gamma = solve(phi_cols, qb)
+        assert gamma is not None
+        values.extend(p_mat.mat_vec(v) for v in rcmaps._values_on_line(f_map, gamma))
+    return AdditiveMap(q_space, tuple(values))
+
+
+def _random_w(rng, field, n, low=0, high=None):
+    """A random subspace of K^n spanned by between low and high vectors."""
+    count = rng.randint(low, n if high is None else high)
+    vecs = [tuple(rng.randrange(field.q) for _ in range(n)) for _ in range(count)]
+    return SubspaceBasis.from_vectors(field, n, vecs)
+
+
+def _quotient_or_ill(quotient, f_map, w):
+    try:
+        return quotient(f_map, w)
+    except IllDefined:
+        return "ill-defined"
+
+
+@pytest.mark.parametrize("field", [F2, F3, F4, F5, F8, F9], ids=lambda f: f"q{f.q}")
+def test_quotient_map_matches_reference(field):
+    rng = random.Random(f"quotient:{field.q}")
+    max_gens = {2: 4, 3: 3, 4: 3, 5: 2, 8: 2, 9: 2}[field.q]
+    seen = {True: 0, False: 0}
+    for kind, n, m in [(KIND_SYM, 2, 1), (KIND_ALT, 3, 0), (KIND_FULL, 2, 2), (KIND_SYM, 3, 0)]:
+        amb = Ambient(field, kind, n, m)
+        spaces = [space_from_coords(amb, []), full_space(amb)] if amb.dim <= 4 else []
+        spaces += [_random_space(rng, amb, max_gens) for _ in range(3)]
+        for space in spaces:
+            ws = [SubspaceBasis.zero(field, n), SubspaceBasis.full(field, n)]
+            ws += [_random_w(rng, field, n, 1, n - 1) for _ in range(2)]
+            if space.dim * field.k > 8:
+                maps = [random_map(space, rng)]
+            else:
+                maps = [_random_rc_map(space, rng), random_map(space, rng)]
+            for f_map in maps:
+                for w in ws:
+                    want = _quotient_or_ill(reference_quotient_map, f_map, w)
+                    assert _quotient_or_ill(quotient_map, f_map, w) == want
+                    seen[want == "ill-defined"] += 1
+    assert seen[True] and seen[False]
+
+
+@pytest.mark.parametrize("field", [F2, F3, F4, F5, F9], ids=lambda f: f"q{f.q}")
+def test_carried_projection_walk_matches_the_matrices(field):
+    rng = random.Random(f"carried:{field.q}")
+    for kind, n, m in [(KIND_SYM, 2, 1), (KIND_ALT, 3, 0), (KIND_FULL, 3, 1), (KIND_SYM, 3, 0)]:
+        amb = Ambient(field, kind, n, m)
+        for _ in range(3):
+            space = _random_space(rng, amb, 2 if field.q > 3 else 3)
+            f_map = random_map(space, rng)
+            w = _random_w(rng, field, n)
+            p = quotient_projection(space, w)
+            want = [
+                (p.matmul(mat), p.mat_vec(evaluate_at_coeffs(f_map, coeffs)))
+                for coeffs, mat in iter_space_elements(space)
+            ]
+            assert list(iter_projected(f_map, p)) == want
+
+
 def test_line_checks_scale_by_every_power_basis_element():
     # over F_4, F(x E_22) = e_1 and F(E_22) = 0: only the scaled element shows
     # that F(M)_1 depends on row 2, and that F does not descend along e_2
@@ -854,6 +1037,24 @@ def test_split_join_round_trips():
         assert rejoined == fm
     with pytest.raises(AmbientMismatch):
         split_map(random_map(build_full_sym(F2, 2, 1), rng))
+
+
+def test_split_of_join_on_equal_but_distinct_factors():
+    # side_by_side is cached, so a product built from equal factors is the
+    # one built first and remembers those factors, which equal the caller's
+    rng = random.Random(45)
+    for f in (F2, F3, F4):
+        gens_a = [tuple(rng.randrange(f.q) for _ in range(3)) for _ in range(2)]
+        gens_b = [tuple(rng.randrange(f.q) for _ in range(2)) for _ in range(2)]
+        a1, a2 = (space_from_coords(Ambient(f, KIND_SYM, 2, 0), gens_a) for _ in range(2))
+        b1, b2 = (space_from_coords(Ambient(f, KIND_FULL, 2, 1), gens_b) for _ in range(2))
+        assert a1 == a2 and a1 is not a2 and b1 == b2 and b1 is not b2
+        prod = side_by_side(a1, b1)
+        fa, gb = random_map(a2, rng), random_map(b2, rng)
+        joined = join_maps(fa, gb)
+        assert joined.domain is prod and prod.product_of[0] is a1
+        assert split_map(joined) == (fa, gb)
+        assert join_maps(*split_map(joined)) == joined
 
 
 def test_join_rc_and_local_equivalences():

@@ -33,6 +33,8 @@ from rckit.opspace import (
     space_from_json,
 )
 from rckit.rcmaps import (
+    AdditiveMap,
+    element_cap,
     is_range_compatible,
     is_standard,
     local_space,
@@ -586,6 +588,33 @@ def test_randomized_property_suites():
     assert rep.verified and rep.cases_run == 30
     with pytest.raises(BadParams):
         V.run_quotient_property(trials=0)
+
+
+def test_quotient_trial_catches_a_perturbed_quotient_map(monkeypatch):
+    # the commute check reads G's values and the carried P F(s) apart, so a
+    # quotient map with one value moved must fail it on every trial
+    real = V.quotient_map
+    perturbed = []
+
+    def one_value_moved(f_map, w, p_mat=None):
+        g = real(f_map, w, p_mat)
+        values = [list(v) for v in g.values]
+        if values and values[0]:
+            values[0][0] = g.domain.ambient.field.add(values[0][0], 1)
+            perturbed.append(True)
+        return AdditiveMap(g.domain, tuple(tuple(v) for v in values))
+
+    monkeypatch.setattr(V, "quotient_map", one_value_moved)
+    caught = 0
+    for idx in range(60):
+        perturbed.clear()
+        reasons = [fail["reason"] for fail in V._quotient_trial(3, element_cap(), idx)]
+        if perturbed:
+            assert reasons == ["quotient map does not commute with the projection"], idx
+            caught += 1
+        else:
+            assert reasons == [], idx
+    assert caught >= 20
 
 
 def test_run_suite_dispatch():
