@@ -126,19 +126,19 @@ class GenericAccumulator:
         return [self.rows[i] for i in order], sorted(self.pivots)
 
 
-def make_accumulator(field: FieldSpec, width: int, force_generic: bool = False):
-    if field.q == 2 and not force_generic:
+def make_accumulator(field: FieldSpec, width: int):
+    if field.q == 2:
         return Gf2Accumulator(width)
     return GenericAccumulator(field, width)
 
 
-def echelonize(field: FieldSpec, vectors, width: int, force_generic: bool = False):
+def echelonize(field: FieldSpec, vectors, width: int):
     """Reduced row echelon form of a list of vectors.
 
     Returns (rows, pivots) with rows as tuples, zero rows dropped, pivot
     columns strictly increasing: the canonical basis of the span.
     """
-    acc = make_accumulator(field, width, force_generic)
+    acc = make_accumulator(field, width)
     if isinstance(acc, Gf2Accumulator):
         for v in vectors:
             acc.add(_pack(v))

@@ -11,18 +11,18 @@ Everything here reduces questions about such maps to F_p-linear algebra:
 
 * F is range-compatible when F(s) lies in the column space of s for every
   s in S.  The solution set of that condition is the kernel of explicit
-  F_p-linear constraints (one batch per pair (s, annihilator row of s)).
-  Two builders produce them.  In characteristic 2 the prime coefficients
-  are bits, and a packed-bitset walk visits the elements in Gray-code order
-  over the prime basis (`_rc_gray_gf2`).  In odd characteristic the element
-  walk (`_rc_element_walk`) visits the element entries in odometer order,
-  each step adding the entries of one prime basis matrix, and builds tuple
-  rows from the cached constraint patterns of each matrix (`_odd_patterns`).
-  Given a target space of maps known to be range-compatible,
-  both walks first visit the elements of low weight (support size in the
-  prime basis, up to _PREFIX_WEIGHT), one per F_p-line, and then, unless
-  those rows already certify that the target is all of RC, the whole walk
-  in Gray or odometer order.
+  F_p-linear constraints (one batch per pair (s, annihilator row of s)),
+  which `_constraint_rows` yields from one walk per characteristic: in
+  characteristic 2 a packed-bitset walk in Gray-code order over the prime
+  basis, in odd characteristic an odometer walk over the element entries,
+  each step adding the entries of one prime basis matrix, with tuple rows
+  from the cached constraint patterns of each matrix (`_odd_patterns`).
+  The solver (`rc_solution_space`) folds the rows into a kernel; given a
+  target space of maps known to be range-compatible, it takes the elements
+  of low weight (support size in the prime basis, up to _PREFIX_WEIGHT),
+  one per F_p-line, first, and stops once the rows certify that the target
+  is all of RC.  The check (`is_range_compatible`) tests a map's
+  coordinates against the rows.
 * F is local when it is evaluation at a fixed vector, F(s) = s x.
 * In characteristic 2 the diagonal maps s -> alpha(diag of the symmetric
   block) for root-linear alpha (additive with alpha(c^2 x) = c alpha(x))
@@ -255,82 +255,32 @@ def map_from_coords(space: OperatorSpace, coords) -> AdditiveMap:
     return AdditiveMap(space, tuple(values))
 
 
-def is_range_compatible(f_map: AdditiveMap, cap: int | None = None) -> bool:
-    """Exhaustively test F(s) in column space of s for all s in the domain.
-
-    The column space of s is the annihilator of its left kernel, so F(s)
-    lies in it exactly when <a, F(s)> = 0 for every row a of a basis of the
-    left kernel of s: each element costs a left kernel, cached per matrix,
-    and a few dot products in place of a solve of its own.  The element cap
-    is checked before the walk.
-
-    In characteristic 2 the walk visits the elements in Gray-code order over
-    the prime basis keys (see _gf2_basis_keys), and F(s) is kept packed with
-    k bits per entry, value i at bit i*k, as the XOR of the packed F(u_j)
-    over the support of s: an element's index has its prime coordinates as
-    bits, so field addition is XOR.  Digit u of F(s)_i is then bit i*k + u,
-    and digit w of <a, F(s)> is the sum over i and u of that digit times
-    digit w of a_i x^u, which is bit i*k + u of the w-th constraint pattern
-    of a (see _char2_patterns; over F_2 the one pattern of a is its bitmask
-    of rows, from _gf2_left_kernel).  So <a, F(s)> = 0 exactly when every
-    pattern has even overlap with the packed F(s), and s fails when some
-    pattern of its matrix has odd overlap.  Dropping zero patterns drops
-    nothing: they overlap nothing.  In odd characteristic the walk is the
-    odometer order of iter_space_elements, run on each element's entries
-    and F(s) side by side, and the dot products read the field tables.
-    """
-    space = f_map.domain
-    f = space.ambient.field
+def _check_cap(space: OperatorSpace, cap: int | None) -> None:
+    """Raise DomainTooLarge when the space has more elements than the cap."""
+    size = space.ambient.field.q**space.dim
     limit = element_cap(cap)
-    if f.q**space.dim > limit:
-        raise DomainTooLarge(f"{f.q ** space.dim} elements exceeds cap {limit}")
-    if f.p == 2:
-        return _rc_check_char2(f_map)
-    return _rc_check_odd(f_map)
+    if size > limit:
+        raise DomainTooLarge(f"{size} elements exceeds cap {limit}")
 
 
-def _rc_check_char2(f_map: AdditiveMap) -> bool:
-    """is_range_compatible in characteristic 2, on packed keys and values."""
+def is_range_compatible(f_map: AdditiveMap, cap: int | None = None) -> bool:
+    """Exhaustively test F(s) in column space of s for all s in the domain:
+    the rows of `_constraint_rows` cut out exactly the range-compatible maps
+    (see rc_solution_space), so F is one exactly when its map coordinates
+    satisfy every row.  The element cap is checked before the walk."""
     space = f_map.domain
-    amb = space.ambient
-    f = amb.field
-    n, ncols, k = amb.nrows, amb.ncols, f.k
-    keys = _gf2_basis_keys(space)
-    values = [sum(x << (i * k) for i, x in enumerate(val)) for val in f_map.values]
-    patterns = _gf2_left_kernel if k == 1 else partial(_char2_patterns, f)
-    key = value = 0
-    for step in range(1, 1 << len(keys)):
-        j = (step & -step).bit_length() - 1
-        key ^= keys[j]
-        value ^= values[j]
-        if value:
-            for c in patterns(key, n, ncols):
-                if (c & value).bit_count() & 1:
-                    return False
-    return True
-
-
-def _rc_check_odd(f_map: AdditiveMap) -> bool:
-    """is_range_compatible in odd characteristic: each element's entries
-    and F(s) come from one odometer walk, and F(s) is checked against the
-    memoised left kernel of the entries."""
-    space = f_map.domain
-    amb = space.ambient
-    f = amb.field
-    add, mul = f.add_table, f.mul_table
-    n, ncols = amb.nrows, amb.ncols
-    size = n * ncols
-    vectors = [m.entries + val for m, val in zip(_prime_basis_matrices(space), f_map.values)]
-    for _, cur in _odometer(f, vectors, size + n):
-        value = cur[size:]
-        if not any(value):
-            continue
-        for a in _left_kernel(f, cur[:size], n, ncols):
-            acc = 0
-            for ai, x in zip(a, value):
-                if ai and x:
-                    acc = add[acc][mul[ai][x]]
-            if acc:
+    _check_cap(space, cap)
+    coords = map_to_coords(f_map)
+    rows = _constraint_rows(space, False)
+    p = space.ambient.field.p
+    if p == 2:
+        packed = sum(x << t for t, x in enumerate(coords))
+        for row in rows:
+            if (row & packed).bit_count() & 1:
+                return False
+    else:
+        for row in rows:
+            if sum([a * b for a, b in zip(row, coords)]) % p:
                 return False
     return True
 
@@ -386,17 +336,13 @@ def rc_solution_space(
     F is range-compatible exactly when <a, F(s)> = 0 for every element s and
     every a in the left kernel of s (the annihilator of its column space).
     Each such pair gives F_p-linear constraints on the map coordinates; the
-    answer is the kernel of the stacked system.  Two walks produce the
-    constraints, chosen by the characteristic p:
+    answer is the kernel of the stacked system.  `_constraint_rows` yields
+    the constraints from one walk per characteristic p:
 
-    * p = 2: `_rc_gray_gf2`, a packed-bitset walk in Gray-code order over
-      the d*k prime basis matrices.  Its rows are pattern * comb: a pattern
-      covers the stride = n*k map coordinates of one prime basis matrix, and
-      comb has bit j*stride for each basis matrix j in the element's
-      support.  The product is carry-free because every pattern is below
-      2^stride.
-    * odd p: `_rc_element_walk`, an odometer walk over the entries whose
-      rows are c_j times a cached pattern in the slot of each basis matrix j.
+    * p = 2: `_char2_rows`, a packed-bitset walk in Gray-code order over
+      the d*k prime basis matrices, whose rows are pattern * comb.
+    * odd p: `_odd_rows`, an odometer walk over the entries whose rows are
+      c_j times a cached pattern in the slot of each basis matrix j.
 
     Walk order and kernel bases do not matter: the result depends only on the
     span of the constraint rows, any basis of the left kernel of s spans the same
@@ -407,26 +353,25 @@ def rc_solution_space(
 
     `target` must generate maps known to be range-compatible: the local
     maps, or the standard maps on a symmetric-block space.  Its generators
-    need not be reduced.  With it, either walk first folds the prefix of
+    need not be reduced.  With it, the solve first folds the prefix of
     `_low_weight_elements`: for w = 1, ..., _PREFIX_WEIGHT, every element
     whose prime coefficients have support size w, one per F_p-line (first
     nonzero coefficient 1; the rows of c*s are c times those of s, as c*s
     has the column space of s).  Then, unless the prefix has certified, it
-    walks every element in Gray or odometer order into the same
-    accumulator, so the prefix changes only the order in which rows
-    arrive.  Without a target there is nothing to certify, and the walk is
-    the Gray or odometer walk alone.
+    folds the rows of every element into the same accumulator, so the
+    prefix changes only the order in which rows arrive.  Without a target
+    there is nothing to certify, and there is no prefix.
 
-    Either walk returns None as soon as the rows folded so far reach rank
+    The solve returns None as soon as the rows folded so far reach rank
     goal = width - rank(target) and every generator satisfies all of them.
     That certifies RC = span(target): the kernel of the folded rows has
     dimension rank(target) and contains span(target), so the two are equal;
     RC lies inside that kernel, and span(target) lies inside RC because s x
     lies in the column space of s and, in characteristic 2, the square root
     of diag(A) lies in the column space of A.  With goal 0 this holds
-    before any row is folded.  So the walk returns None, without building a
+    before any row is folded.  So the solve returns None, without building a
     canonical basis, exactly when RC = span(target); when RC is larger the
-    rank never reaches goal and the walk returns the exact RC.  Generators
+    rank never reaches goal and the solve returns the exact RC.  Generators
     outside RC never pass when their rank is at most dim RC: the rank then
     reaches goal only once every row is in, and the kernel is RC itself.
 
@@ -435,18 +380,21 @@ def rc_solution_space(
     the whole certificate above.  When the prefix does not certify, the
     fallback folds the rows of every element, so the kernel, and with it
     the report, is the exact RC.  That the low-weight elements certify
-    nearly every class case is only observed, not proved: the walk relies
+    nearly every class case is only observed, not proved: the solve relies
     on it for speed alone.
     """
-    f = space.ambient.field
-    limit = element_cap(cap)
-    if f.q**space.dim > limit:
-        raise DomainTooLarge(f"{f.q ** space.dim} elements exceeds cap {limit}")
+    _check_cap(space, cap)
     if target is not None and target.domain != space:
         raise AmbientMismatch("target maps live on a different domain")
-    if f.p == 2:
-        return _rc_gray_gf2(space, target)
-    return _rc_element_walk(space, target)
+    acc = make_accumulator(prime_field(space), map_coord_width(space))
+    goal = _goal(acc, target)
+    if goal == 0:
+        return None
+    add = acc.add
+    for row in _constraint_rows(space, target is not None):
+        if add(row) and acc.rank == goal and _cuts_out(acc, target):
+            return None
+    return _solution_space(space, acc)
 
 
 def _goal(acc, target: MapGenerators | None) -> int:
@@ -571,12 +519,21 @@ def _kernel_patterns(f: FieldSpec, entries: tuple[int, ...], n: int, ncols: int)
 _odd_patterns = lru_cache(maxsize=1 << 16)(_kernel_patterns)
 
 
-def _rc_gray_gf2(
-    space: OperatorSpace, target: MapGenerators | None = None
-) -> MapSpace | None:
-    """The characteristic-2 solve on packed ints: matrices as keys with k
-    bits per entry (see _gf2_unit_keys), constraint rows as bitmasks of map
-    coordinates.
+def _constraint_rows(space: OperatorSpace, prefix: bool):
+    """The constraint rows of every nonzero element of the space, whose
+    common kernel is the range-compatible maps (see rc_solution_space),
+    with the low-weight prefix first when prefix is set: packed ints of
+    map coordinates in characteristic 2, tuples otherwise.  No element cap
+    here: callers check it."""
+    if space.ambient.field.p == 2:
+        return _char2_rows(space, prefix)
+    return _odd_rows(space, prefix)
+
+
+def _char2_rows(space: OperatorSpace, prefix: bool):
+    """_constraint_rows in characteristic 2, on packed ints: matrices as
+    keys with k bits per entry (see _gf2_unit_keys), constraint rows as
+    bitmasks of map coordinates.
 
     The prime coefficients of an element are bits, so the walk visits the
     q^dim elements in Gray-code order over the d*k prime basis keys: each
@@ -586,76 +543,56 @@ def _rc_gray_gf2(
     _char2_patterns), the constraint row is pattern * comb with
     comb = sum of 1 << (j*stride).  The copies of the pattern sit in
     disjoint stride-bit slots because pattern < 2^stride, so the product has
-    no carries; each step flips one bit of comb.  A prefix element (see
-    rc_solution_space) is the XOR of the keys of its support, and its comb
-    the OR of their bits.
+    no carries; each step flips one bit of comb.  A prefix element is the
+    XOR of the keys of its support, and its comb the OR of their bits.
     """
     amb = space.ambient
     n, ncols = amb.nrows, amb.ncols
     f = amb.field
     stride = n * f.k
-    acc = make_accumulator(prime_field(space), map_coord_width(space))
-    goal = _goal(acc, target)
-    if goal == 0:
-        return None
     basis_keys = _gf2_basis_keys(space)
     patterns = _gf2_left_kernel if f.k == 1 else partial(_char2_patterns, f)
-    add = acc.add
-    if target is not None:
+    if prefix:
         for support, _ in _low_weight_elements(len(basis_keys), 2):
             key = comb = 0
             for j in support:
                 key ^= basis_keys[j]
                 comb |= 1 << (j * stride)
             for c in patterns(key, n, ncols):
-                if add(c * comb) and acc.rank == goal and _cuts_out(acc, target):
-                    return None
+                yield c * comb
     key = comb = 0
     for step in range(1, 1 << len(basis_keys)):
         j = (step & -step).bit_length() - 1
         key ^= basis_keys[j]
         comb ^= 1 << (j * stride)
         for c in patterns(key, n, ncols):
-            if add(c * comb) and acc.rank == goal and _cuts_out(acc, target):
-                return None
-    return _solution_space(space, acc)
+            yield c * comb
 
 
-def _rc_element_walk(
-    space: OperatorSpace, target: MapGenerators | None = None
-) -> MapSpace | None:
-    """The solve in odd characteristic: walk the element entries in odometer
-    order, with the low-weight prefix (see rc_solution_space) first when
-    there is a target, and fold for each pattern of each element (see
-    _kernel_patterns) the row that is c_j times the pattern in the stride
-    slot of every prime basis matrix j, c_j the element's prime
-    coefficients.  No element cap here: callers check it.
-    """
+def _odd_rows(space: OperatorSpace, prefix: bool):
+    """_constraint_rows in odd characteristic: walk the element entries in
+    odometer order, after the low-weight prefix when prefix is set, and
+    yield for each pattern of each element (see _kernel_patterns) the row
+    that is c_j times the pattern in the stride slot of every prime basis
+    matrix j, c_j the element's prime coefficients."""
     amb = space.ambient
     f = amb.field
     p, n, ncols = f.p, amb.nrows, amb.ncols
-    acc = make_accumulator(prime_field(space), map_coord_width(space))
-    goal = _goal(acc, target)
-    if goal == 0:
-        return None
     patterns = _left_kernel if f.k == 1 else _odd_patterns
     mats = [m.entries for m in _prime_basis_matrices(space)]
     elements = _odometer(f, mats, n * ncols)
-    if target is not None:
+    if prefix:
         elements = chain(_low_weight_entries(f, mats, n * ncols), elements)
     for coeffs, entries in elements:
         if not any(coeffs):
             continue
         for pat in patterns(f, entries, n, ncols):
-            row = tuple([c * x % p for c in coeffs for x in pat])
-            if acc.add(row) and acc.rank == goal and _cuts_out(acc, target):
-                return None
-    return _solution_space(space, acc)
+            yield tuple([c * x % p for c in coeffs for x in pat])
 
 
 @lru_cache(maxsize=64)
 def _low_weight_elements(d: int, p: int) -> tuple:
-    """The prefix a walk with a target folds first: for w = 1, ...,
+    """The prefix _constraint_rows yields first when asked: for w = 1, ...,
     min(_PREFIX_WEIGHT, d), every support of size w among the d prime basis
     indices in combinations order, and for each the coefficient vectors
     with first entry 1, one per F_p-line, as (support, coefficients)."""
@@ -720,9 +657,7 @@ def _map_generators(space: OperatorSpace, diagonal: bool) -> MapGenerators:
     amb = space.ambient
     f = amb.field
     n, ncols = amb.nrows, amb.ncols
-    if f.q == 2:
-        gens = _gf2_generators(_gf2_basis_keys(space), n, ncols, diagonal)
-    elif f.p == 2:
+    if f.p == 2:
         gens = _char2_generators(f, _gf2_basis_keys(space), n, ncols, diagonal)
     else:
         gens = _decoded_generators(space, diagonal)
@@ -776,42 +711,14 @@ def _prime_basis_matrices(space: OperatorSpace) -> tuple[Matrix, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=256)
-def _gf2_gather(n: int, stride: int) -> dict[int, int]:
-    """Maps each pattern with bits only at i*stride, i < n, to the n-bit
-    pattern with bit i for each of them."""
-    return {sum(1 << (i * stride) for i in range(n) if c >> i & 1): c for c in range(1 << n)}
-
-
-def _gf2_generators(keys, n: int, ncols: int, diagonal: bool) -> list[int]:
-    """Over F_2, the packed local generators s -> s e_col, one per column,
-    and with diagonal the map s -> diag(s) (the root-linear form is the
-    identity): bit j*n + i is entry (i, col), or (i, i), of basis matrix j,
-    which sits at bit i*ncols + col, or i*ncols + i, of key j."""
-    col_bits = _gf2_gather(n, ncols)
-    col_mask = sum(1 << (i * ncols) for i in range(n))
-    gens = [0] * ncols
-    for j, key in enumerate(keys):
-        shift = j * n
-        for col in range(ncols):
-            gens[col] |= col_bits[(key >> col) & col_mask] << shift
-    if diagonal:
-        diag_bits = _gf2_gather(n, ncols + 1)
-        diag_mask = sum(1 << (i * (ncols + 1)) for i in range(n))
-        gens.append(
-            sum(diag_bits[key & diag_mask] << (j * n) for j, key in enumerate(keys))
-        )
-    return gens
-
-
 def _char2_generators(f: FieldSpec, keys, n: int, ncols: int, diagonal: bool) -> list[int]:
-    """Over GF(2^k), the packed generators of _map_generators, read from the
-    basis keys.  An element's index has its prime coordinates as bits, and
-    so does the k-bit slot (i*ncols + c)*k of a key (see _gf2_unit_keys), so
-    value i of a generator at basis matrix j is a field table lookup on one
-    slot, shifted to map bit j*stride + i*k: lam * entry (i, col) for the
-    local generator of (col, lam), alpha(entry (i, i)) for the diagonal map
-    of the root-linear form alpha."""
+    """In characteristic 2, the packed generators of _map_generators, read
+    from the basis keys.  An element's index has its prime coordinates as
+    bits, and so does the k-bit slot (i*ncols + c)*k of a key (see
+    _gf2_unit_keys), so value i of a generator at basis matrix j is a field
+    table lookup on one slot, shifted to map bit j*stride + i*k: lam *
+    entry (i, col) for the local generator of (col, lam), alpha(entry
+    (i, i)) for the diagonal map of the root-linear form alpha."""
     k = f.k
     mask = f.q - 1
     stride = n * k

@@ -96,7 +96,6 @@ from rckit.rcmaps import (
     _naive_rc_maps_generic,
     _naive_rc_maps_gf2,
     _prime_basis_matrices,
-    _rc_element_walk,
 )
 
 F2 = make_field(2)
@@ -365,14 +364,14 @@ def test_pattern_walk_matches_tuple_row_reference(field):
                                _random_space(rng, Ambient(field, KIND_FULL, 2, 1), 1)))
     for space in spaces:
         full = reference_element_walk(space)
-        assert _rc_element_walk(space) == full
+        assert rc_solution_space(space) == full
         targets = [local_generators(space)]
         if space.ambient.kind == KIND_SYM:
             targets.append(standard_generators(space))
         for gens in targets:
             want = reference_element_walk(space, target=gens)
             assert want == (None if full == gens.span() else full)
-            assert _rc_element_walk(space, target=gens) == want
+            assert rc_solution_space(space, target=gens) == want
 
 
 @pytest.mark.parametrize(
@@ -425,7 +424,6 @@ def test_certified_stop_falls_back_over_f3():
     for gens in (local_generators(s), standard_generators(s)):
         assert gens.span().dim == 5
         assert rc_solution_space(s, target=gens) == full
-        assert _rc_element_walk(s, target=gens) == full
         assert reference_element_walk(s, target=gens) == full
 
 
@@ -550,7 +548,7 @@ def test_generator_spans_match_map_oracle(field):
                 assert canonical(s).basis == want
 
 
-@pytest.mark.parametrize("field", [F4, F8], ids=["f4", "f8"])
+@pytest.mark.parametrize("field", [F2, F4, F8], ids=["f2", "f4", "f8"])
 def test_char2_generators_match_decoded_generators(field):
     rng = random.Random(61)
     for kind in (KIND_SYM, KIND_ALT, KIND_FULL):
@@ -621,7 +619,7 @@ def test_memoized_gf2_left_kernel_matches_left_kernel_rows():
 
 
 def test_memoized_left_kernel_matches_left_kernel_rows():
-    # odd characteristic, where _rc_element_walk reads it; shapes interleave
+    # odd characteristic, where _odd_rows reads it; shapes interleave
     # so a cache that ignored (n, ncols) or the field would be caught
     rng = random.Random(5)
     for _ in range(300):
@@ -706,7 +704,7 @@ def _random_space(rng, amb, max_gens):
 def _check_spaces(field, rng):
     """Small random spaces over field, their side-by-side products with a
     random rectangle space, and a zero space."""
-    max_dim = {2: 4, 3: 3, 4: 3, 5: 2, 8: 2}[field.q]
+    max_dim = {2: 4, 3: 3, 4: 3, 5: 2, 8: 2, 9: 2}[field.q]
     out = [space_from_coords(Ambient(field, KIND_SYM, 2, 1), [])]
     for kind, n, m in [(KIND_SYM, 2, 1), (KIND_ALT, 3, 0), (KIND_FULL, 2, 2), (KIND_SYM, 3, 0)]:
         out.extend(_random_space(rng, Ambient(field, kind, n, m), max_dim) for _ in range(3))
@@ -717,7 +715,9 @@ def _check_spaces(field, rng):
     return out
 
 
-@pytest.mark.parametrize("field", [F2, F3, F4, F5, F8], ids=["f2", "f3", "f4", "f5", "f8"])
+@pytest.mark.parametrize(
+    "field", [F2, F3, F4, F5, F8, F9], ids=["f2", "f3", "f4", "f5", "f8", "f9"]
+)
 def test_is_range_compatible_matches_solve_reference(field):
     rng = random.Random(f"range-check:{field.q}")
     verdicts = {True: 0, False: 0}
@@ -732,6 +732,42 @@ def test_is_range_compatible_matches_solve_reference(field):
             assert is_range_compatible(f_map) == want
             verdicts[want] += 1
     assert verdicts[False] > 0
+
+
+def _violates(row, coords, p):
+    """Whether the map coordinates coords fail one constraint row, packed
+    or a tuple."""
+    if isinstance(row, int):
+        row = tuple((row >> t) & 1 for t in range(len(coords)))
+    return sum(a * b for a, b in zip(row, coords)) % p != 0
+
+
+@pytest.mark.parametrize("field", [F2, F3, F4, F9], ids=["f2", "f3", "f4", "f9"])
+def test_is_range_compatible_stops_within_the_failing_elements_rows(field, monkeypatch):
+    # F(u_0) lies outside the column space of u_0, the first element both
+    # walks visit, and F vanishes on the other prime basis vectors: the
+    # check draws no row past those of u_0, and stops at the first row
+    # that F violates
+    space = full_space(Ambient(field, KIND_SYM, 2, 1))
+    n, ncols = space.ambient.nrows, space.ambient.ncols
+    kernel = left_kernel_rows(field, _prime_basis_matrices(space)[0].entries, n, ncols)
+    i = next(i for i, x in enumerate(kernel[0]) if x)
+    value = tuple(int(t == i) for t in range(n))
+    f_map = AdditiveMap(space, (value,) + zero_map(space).values[1:])
+    rows = rcmaps._constraint_rows
+    drawn = []
+
+    def counted(space, prefix):
+        for row in rows(space, prefix):
+            drawn.append(row)
+            yield row
+
+    monkeypatch.setattr(rcmaps, "_constraint_rows", counted)
+    assert not is_range_compatible(f_map)
+    coords = map_to_coords(f_map)
+    assert 1 <= len(drawn) <= len(kernel) * field.k
+    assert [_violates(r, coords, field.p) for r in drawn] == [False] * (len(drawn) - 1) + [True]
+    assert len(drawn) < len(list(rows(space, False)))
 
 
 @pytest.mark.parametrize("field", [F2, F3, F4], ids=["f2", "f3", "f4"])

@@ -267,6 +267,86 @@ def test_rank1_and_good_functional_reports_are_pinned(run, cases, digest, jobs):
     assert _canonical_sha256(rep) == digest
 
 
+@pytest.mark.parametrize(
+    "run, cases, digest",
+    [
+        (
+            lambda: V.run_sym_optimality(),
+            3,
+            "fc538e41bbcdcef36a8a470620fbdfe6677da2393770ea05747608592a35f2c9",
+        ),
+        (
+            lambda: V.run_alt_optimality(),
+            4,
+            "4f769306d4b762a699842974bed3f6425dc998b8c2992b5eeb31eb5b90faad5d",
+        ),
+        (
+            lambda: V.run_full_sym_class(F2, 3),
+            1,
+            "6d3189f604ea7606892a6038e04aa6afdb525007303357dc49862640495846e5",
+        ),
+        (
+            lambda: V.run_full_sym_class(F3, 3),
+            1,
+            "d3f8bf127298c25092c86ea78d217a3d69ac7994bcbf2e6fd32330c21874bc18",
+        ),
+        (
+            lambda: V.run_full_sym_class(F4, 2),
+            1,
+            "0712190dc67fc9206c88c2c84f9418a52d8cb201d5f4744bbd669bf9ff374ad8",
+        ),
+        (
+            lambda: V.run_full_alt_class(F2, 4),
+            1,
+            "994ad032d64dbbb9ef42ccd7ff8a057e7af1b7e5374713fb0d02b559b81b108d",
+        ),
+        (
+            lambda: V.run_full_alt_class(F3, 4),
+            1,
+            "25835311088a705e244a5c3db545e4b283f51a1370214f7ea56e21cf5658b5e5",
+        ),
+        (
+            lambda: V.run_full_alt_class(F4, 3),
+            1,
+            "30fb7e82dc8bd6ef6daccbadbbf4ecb95671e3e5a1162e6e0d1374a696a7ebdb",
+        ),
+        (
+            lambda: V.run_dim3_alt(F3),
+            1,
+            "82fa8199e904c763c4c529991854be705e0e47ad9de46040df1923efb894d9ea",
+        ),
+        (
+            lambda: V.run_dim3_alt(F4),
+            1,
+            "0c3e6d7afed36999f519ab463c62a76d1c9b56bbcb9c2e191b711820d9cdb93d",
+        ),
+        (
+            lambda: V.run_mf_suite(F2, 1),
+            8,
+            "1b43126fdf9bf23e5ec4ae46b9337976529e80bbd3a55a5fdf4fd360aa881651",
+        ),
+        (
+            lambda: V.run_mf_suite(F3, 1),
+            27,
+            "6bba6c552527fdd993e96818f426cec3b42f47648dc5b8cf10b4d1f1eaf78993",
+        ),
+    ],
+    ids=[
+        "sym-optimality", "alt-optimality", "full-sym3-f2", "full-sym3-f3",
+        "full-sym2-f4", "full-alt4-f2", "full-alt4-f3", "full-alt3-f4",
+        "dim3-alt-f3", "dim3-alt-f4", "mf-f2", "mf-f3",
+    ],
+)
+def test_small_suite_reports_are_pinned(run, cases, digest):
+    # the digests were taken when the solve (the class, dim3-alt and mf
+    # suites) and the range check (the optimality witnesses) each had walks
+    # of their own; the shared constraint-row stream must reproduce them
+    # byte for byte (apart from wallTime)
+    rep = run()
+    assert rep.verified and rep.cases_run == cases
+    assert _canonical_sha256(rep) == digest
+
+
 def test_full_class_suites():
     for f, n in ((F2, 2), (F2, 3), (F3, 2), (F4, 2)):
         rep = V.run_full_sym_class(f, n)
