@@ -229,7 +229,7 @@ def _cmd_lemmas(args) -> int:
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--cap", type=int, default=None,
-                     help="element/enumeration cap (default: RC_KIT_CAP or 2^20)")
+                     help="element/enumeration cap (default: 2^20)")
     sub.add_argument("--jobs", type=int, default=1, help="worker processes")
     sub.add_argument("--seed", type=int, default=0, help="seed for sampled cases")
     sub.add_argument("--out", help="write a JSON report to this path")

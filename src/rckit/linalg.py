@@ -21,16 +21,20 @@ Vec = tuple[int, ...]
 # row reduction
 
 
-def _pack(v) -> int:
-    bits = 0
-    for j, x in enumerate(v):
-        if x:
-            bits |= 1 << j
-    return bits
+def pack(v, bits: int = 1) -> int:
+    """The entries of v in one int, bits per entry, entry t at bit t*bits:
+    the one packed format of rckit's rows, matrix keys and case keys."""
+    key = shift = 0
+    for x in v:
+        key |= x << shift
+        shift += bits
+    return key
 
 
-def _unpack(bits: int, width: int) -> Vec:
-    return tuple((bits >> j) & 1 for j in range(width))
+def unpack(key: int, width: int, bits: int = 1) -> Vec:
+    """The first width entries packed in key by pack."""
+    mask = (1 << bits) - 1
+    return tuple([key >> s & mask for s in range(0, width * bits, bits)])
 
 
 class Gf2Accumulator:
@@ -141,9 +145,9 @@ def echelonize(field: FieldSpec, vectors, width: int):
     acc = make_accumulator(field, width)
     if isinstance(acc, Gf2Accumulator):
         for v in vectors:
-            acc.add(_pack(v))
+            acc.add(pack(v))
         rows, pivots = acc.rows_pivots()
-        return [_unpack(r, width) for r in rows], list(pivots)
+        return [unpack(r, width) for r in rows], list(pivots)
     for v in vectors:
         acc.add(v)
     rows, pivots = acc.rows_pivots()
@@ -222,27 +226,10 @@ class SubspaceBasis:
         return elems
 
 
-def sum_spaces(a: SubspaceBasis, b: SubspaceBasis) -> SubspaceBasis:
-    _check_same_space(a, b)
-    return SubspaceBasis.from_vectors(a.field, a.ambient_dim, a.vectors + b.vectors)
-
-
 def annihilator(w: SubspaceBasis) -> SubspaceBasis:
     """All functionals a with sum_j a_j v_j = 0 for every v in w."""
     m = Matrix(w.field, len(w.vectors), w.ambient_dim, tuple(x for v in w.vectors for x in v))
     return kernel_basis(m)
-
-
-def intersect_spaces(a: SubspaceBasis, b: SubspaceBasis) -> SubspaceBasis:
-    _check_same_space(a, b)
-    return annihilator(sum_spaces(annihilator(a), annihilator(b)))
-
-
-def _check_same_space(a: SubspaceBasis, b: SubspaceBasis) -> None:
-    if a.field is not b.field:
-        raise MixedFields("subspaces over different fields")
-    if a.ambient_dim != b.ambient_dim:
-        raise ShapeMismatch("subspaces of different ambient dimensions")
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +326,7 @@ def accumulator_kernel(field: FieldSpec, acc) -> SubspaceBasis:
         # has a 1 there
         free = sorted(set(range(width)).difference(pivots))
         vecs = [
-            _unpack(sum(1 << p for r, p in zip(rows, pivots) if (r >> fr) & 1) | 1 << fr, width)
+            unpack(sum(1 << p for r, p in zip(rows, pivots) if (r >> fr) & 1) | 1 << fr, width)
             for fr in free
         ]
     else:

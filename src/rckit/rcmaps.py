@@ -35,7 +35,6 @@ included for cross-checking the solver on small domains.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import chain, combinations, product
@@ -54,14 +53,15 @@ from .linalg import (
     Matrix,
     SubspaceBasis,
     accumulator_kernel,
+    annihilator,
     echelonize,
-    intersect_spaces,
     kernel_basis,
     left_kernel_rows,
     make_accumulator,
-    matrix_from_rows,
+    pack,
     solve,
     tracked_echelon,
+    unpack,
 )
 from .opspace import (
     KIND_FULL,
@@ -88,11 +88,8 @@ _PREFIX_WEIGHT = 4
 
 
 def element_cap(cap: int | None = None) -> int:
-    """Resolve an exhaustive-walk cap: explicit value, else RC_KIT_CAP, else 2^20."""
-    if cap is not None:
-        return cap
-    env = os.environ.get("RC_KIT_CAP")
-    return int(env) if env else DEFAULT_ELEMENT_CAP
+    """Resolve an exhaustive-walk cap: explicit value, else 2^20."""
+    return DEFAULT_ELEMENT_CAP if cap is None else cap
 
 
 def prime_field(space: OperatorSpace) -> FieldSpec:
@@ -274,7 +271,7 @@ def is_range_compatible(f_map: AdditiveMap, cap: int | None = None) -> bool:
     rows = _constraint_rows(space, False)
     p = space.ambient.field.p
     if p == 2:
-        packed = sum(x << t for t, x in enumerate(coords))
+        packed = pack(coords)
         for row in rows:
             if (row & packed).bit_count() & 1:
                 return False
@@ -324,7 +321,7 @@ class MapGenerators:
         width = map_coord_width(self.domain)
         vecs = self.vectors
         if fp.q == 2:
-            vecs = [tuple((g >> t) & 1 for t in range(width)) for g in vecs]
+            vecs = [unpack(g, width) for g in vecs]
         return MapSpace(self.domain, SubspaceBasis.from_vectors(fp, width, vecs))
 
 
@@ -478,13 +475,6 @@ def _gf2_left_kernel(key: int, n: int, ncols: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=1 << 16)
-def _left_kernel(f: FieldSpec, entries: tuple[int, ...], n: int, ncols: int) -> tuple:
-    """left_kernel_rows, kept: like _gf2_left_kernel's, the result depends on
-    the field and the matrix alone, so every solve in the process shares it."""
-    return tuple(left_kernel_rows(f, entries, n, ncols))
-
-
-@lru_cache(maxsize=1 << 16)
 def _char2_patterns(f: FieldSpec, key: int, n: int, ncols: int) -> tuple[int, ...]:
     """The patterns of _kernel_patterns as bitmasks, bit t for entry t, of
     the n x ncols matrix over f, of characteristic 2 and degree k > 1, whose
@@ -495,8 +485,8 @@ def _char2_patterns(f: FieldSpec, key: int, n: int, ncols: int) -> tuple[int, ..
     rows, from _gf2_left_kernel.  The result depends on the field and the
     matrix alone, so the cache is shared by every solve in the process.
     """
-    entries = tuple((key >> (t * f.k)) & (f.q - 1) for t in range(n * ncols))
-    packed = (sum(d << t for t, d in enumerate(p)) for p in _kernel_patterns(f, entries, n, ncols))
+    entries = unpack(key, n * ncols, f.k)
+    packed = (pack(p) for p in _kernel_patterns(f, entries, n, ncols))
     return tuple(pat for pat in packed if pat)
 
 
@@ -509,13 +499,14 @@ def _kernel_patterns(f: FieldSpec, entries: tuple[int, ...], n: int, ncols: int)
     <a, F(s)> is the sum over j, i and u of c_j, digit u of F(u_j)_i and
     digit w of a_i x^u.  Over F_p (k = 1) the one pattern of a is a itself."""
     out = []
+    mul = f.mul_table
     for a in left_kernel_rows(f, entries, n, ncols):
-        digits = [f.prime_coords(f.mul(ai, lam)) for ai in a for lam in f.power_basis]
+        digits = [f.prime_coords(mul[ai][lam]) for ai in a for lam in f.power_basis]
         out.extend(tuple(d[w] for d in digits) for w in range(f.k))
     return tuple(out)
 
 
-# cached per matrix like _char2_patterns, for odd p and k > 1 (F_p reads _left_kernel)
+# cached per matrix like _char2_patterns, for every odd field
 _odd_patterns = lru_cache(maxsize=1 << 16)(_kernel_patterns)
 
 
@@ -578,7 +569,6 @@ def _odd_rows(space: OperatorSpace, prefix: bool):
     amb = space.ambient
     f = amb.field
     p, n, ncols = f.p, amb.nrows, amb.ncols
-    patterns = _left_kernel if f.k == 1 else _odd_patterns
     mats = [m.entries for m in _prime_basis_matrices(space)]
     elements = _odometer(f, mats, n * ncols)
     if prefix:
@@ -586,7 +576,7 @@ def _odd_rows(space: OperatorSpace, prefix: bool):
     for coeffs, entries in elements:
         if not any(coeffs):
             continue
-        for pat in patterns(f, entries, n, ncols):
+        for pat in _odd_patterns(f, entries, n, ncols):
             yield tuple([c * x % p for c in coeffs for x in pat])
 
 
@@ -857,35 +847,44 @@ def is_standard(f_map: AdditiveMap) -> bool:
 
 
 def is_linear(f_map: AdditiveMap) -> bool:
-    """Exhaustive check of F(c s) = c F(s) over scalars c and a K-basis."""
-    space = f_map.domain
-    f = space.ambient.field
-    for b in space.basis.vectors:
-        fb = evaluate_at_coeffs(f_map, prime_coeffs_of(space, b))
-        for c in range(f.q):
-            scaled = tuple(f.mul(c, x) for x in b)
-            want = tuple(f.mul(c, x) for x in fb)
-            if evaluate_at_coeffs(f_map, prime_coeffs_of(space, scaled)) != want:
-                return False
-    return True
+    """Whether F is K-linear: a member of linear_maps_space."""
+    return linear_maps_space(f_map.domain).contains_map(f_map)
 
 
 def linear_maps_space(space: OperatorSpace) -> MapSpace:
-    """All K-linear maps, cut out by F(x^t b_i) = x^t F(b_i) in coordinates."""
+    """All K-linear maps: the kernel of _linearity_rows, which F satisfies
+    exactly when F(c s) = c F(s) for every scalar c and element s.  F is
+    additive, so this reduces to c in the power basis and s in the K-basis,
+    F(x^t b_i) = x^t F(b_i), which is what the rows say in coordinates."""
+    return MapSpace(space, _map_kernel(space, _linearity_rows(space)))
+
+
+def linear_rc_space(rc: MapSpace) -> MapSpace:
+    """The K-linear maps within rc, the solved range-compatible space: one
+    kernel of the annihilator rows of rc stacked with _linearity_rows."""
+    rows = annihilator(rc.basis).vectors + _linearity_rows(rc.domain)
+    return MapSpace(rc.domain, _map_kernel(rc.domain, rows))
+
+
+def _map_kernel(space: OperatorSpace, rows) -> SubspaceBasis:
+    """The map coordinates of the space satisfying every row."""
+    flat = tuple(x for row in rows for x in row)
+    return kernel_basis(Matrix(prime_field(space), len(rows), map_coord_width(space), flat))
+
+
+def _linearity_rows(space: OperatorSpace) -> tuple[tuple[int, ...], ...]:
+    """The rows values[i*k+t] - x^t * values[i*k] = 0 in map coordinates,
+    one per K-basis vector i, power t >= 1, target row r and prime
+    coordinate w; none over a prime field."""
     f = space.ambient.field
     p, k = f.p, f.k
     n = space.ambient.nrows
-    fp = prime_field(space)
     width = map_coord_width(space)
     stride = n * k
-    if k == 1:
-        return MapSpace(space, SubspaceBasis.full(fp, width))
     lams = f.power_basis
     rows = []
     for i in range(space.dim):
         for t in range(1, k):
-            # values[i*k+t] - x^t * values[i*k] = 0, one row per (target
-            # row r, prime coordinate w)
             for r in range(n):
                 for w in range(k):
                     row = [0] * width
@@ -895,17 +894,8 @@ def linear_maps_space(space: OperatorSpace) -> MapSpace:
                         if digs[w]:
                             idx = (i * k) * stride + r * k + u
                             row[idx] = (row[idx] - digs[w]) % p
-                    rows.append(row)
-    if not rows:
-        return MapSpace(space, SubspaceBasis.full(fp, width))
-    # kernel_basis echelonizes the rows itself, on the packed path over F_2
-    return MapSpace(space, kernel_basis(matrix_from_rows(fp, rows)))
-
-
-def linear_rc_space(rc: MapSpace) -> MapSpace:
-    """The K-linear maps within rc, the solved range-compatible space."""
-    lin = linear_maps_space(rc.domain)
-    return MapSpace(rc.domain, intersect_spaces(rc.basis, lin.basis))
+                    rows.append(tuple(row))
+    return tuple(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -1074,16 +1064,11 @@ def _naive_rc_maps_gf2(space: OperatorSpace):
     width = map_coord_width(space)
     survivors = range(1 << width)
     for coeffs, valid in _element_value_sets(space):
-        masks = [
-            sum(1 << (j * n + i) for j, c in enumerate(coeffs) if c) for i in range(n)
-        ]
-        ok = {sum(x << i for i, x in enumerate(v)) for v in valid}
-        survivors = [
-            h
-            for h in survivors
-            if sum(((h & m).bit_count() & 1) << i for i, m in enumerate(masks)) in ok
-        ]
-    return [tuple((h >> t) & 1 for t in range(width)) for h in survivors]
+        # map bit j*n + i is F(u_j)_i, so coefficient j packed n bits apart
+        masks = [pack(coeffs, n) << i for i in range(n)]
+        ok = {pack(v) for v in valid}
+        survivors = [h for h in survivors if pack([(h & m).bit_count() & 1 for m in masks]) in ok]
+    return [unpack(h, width) for h in survivors]
 
 
 # ---------------------------------------------------------------------------

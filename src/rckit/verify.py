@@ -28,6 +28,8 @@ from .linalg import (
     echelonize,
     kernel_basis,
     matrix_from_rows,
+    pack,
+    unpack,
 )
 from .opspace import (
     Ambient,
@@ -269,38 +271,20 @@ def _moves(amb: Ambient) -> list[tuple[Matrix, Matrix]]:
     ]
 
 
-def _pack_rows(rows, bits: int) -> int:
-    """Annihilator rows packed into one int, bits per entry, row-major from
-    bit 0: the key of a case.  The last row is nonzero, so keys of different
-    codimensions differ."""
-    key = shift = 0
-    for row in rows:
-        for x in row:
-            key |= x << shift
-            shift += bits
-    return key
-
-
-def _key_rows(key: int, d: int, bits: int) -> list[tuple[int, ...]]:
-    """Inverse of _pack_rows for rows of length d."""
-    mask = (1 << bits) - 1
-    rows = []
-    while key:
-        rows.append(tuple(key >> (j * bits) & mask for j in range(d)))
-        key >>= d * bits
-    return rows
-
-
 def _case_space(amb: Ambient, key: int) -> OperatorSpace:
-    """The case keyed by key, built as enumerate_subspaces builds it."""
-    rows = _key_rows(key, amb.dim, (amb.field.q - 1).bit_length())
-    return OperatorSpace(amb, kernel_basis(Matrix(amb.field, len(rows), amb.dim, sum(rows, ()))))
+    """The case keyed by key, built as enumerate_subspaces builds it.  A key
+    packs the annihilator RREF rows of a case, concatenated, with
+    (q-1).bit_length() bits per entry; the last row is nonzero, so the key's
+    bit length gives the row count, and key 0 is the full space."""
+    d, bits = amb.dim, (amb.field.q - 1).bit_length()
+    rows = -(-key.bit_length() // (d * bits))
+    return OperatorSpace(amb, kernel_basis(Matrix(amb.field, rows, d, unpack(key, rows * d, bits))))
 
 
 def _gf2_key(rows: list[int], width: int) -> int:
     """The key of the span of independent packed F_2 rows: reduced, ordered
     by their lowest-bit pivots and packed as Gf2Accumulator.rows_pivots and
-    _pack_rows give them."""
+    pack give them."""
     if len(rows) == 1:  # a nonzero row over F_2 is its own echelon form
         return rows[0]
     piv: dict[int, int] = {}  # pivot bit -> reduced row
@@ -342,7 +326,7 @@ def _image_keys(amb: Ambient):
     add, mul = f.add_table, f.mul_table
     if f.p == 2:
         zero, plus = 0, xor
-        scale = lambda x, col: _pack_rows([[mul[x][c] for c in col]], bits)
+        scale = lambda x, col: pack([mul[x][c] for c in col], bits)
     else:
         zero, plus = (0,) * d, lambda u, v: tuple([add[a][b] for a, b in zip(u, v)])
         scale = lambda x, col: tuple([mul[x][c] for c in col])
@@ -364,11 +348,12 @@ def _image_keys(amb: Ambient):
     full = (1 << width) - 1
     if f.q == 2:
         to_key = partial(_gf2_key, width=width)
-    elif f.p == 2:
-        unpack = lambda img: [_key_rows(r, d, bits)[0] for r in img]
-        to_key = lambda img: _pack_rows(echelonize(f, unpack(img), d)[0], bits)
     else:
-        to_key = lambda img: _pack_rows(echelonize(f, img, d)[0], bits)
+
+        def to_key(img) -> int:
+            if f.p == 2:
+                img = [unpack(r, d, bits) for r in img]
+            return pack(sum(echelonize(f, img, d)[0], ()), bits)
 
     def images(key: int) -> list[int]:
         rows = []
@@ -399,7 +384,7 @@ def _congruence_classes(amb: Ambient, codim: int, cap: int) -> tuple[list[int], 
         raise EnumerationCapExceeded(f"{total} subspaces exceeds cap {cap}")
     f, d = amb.field, amb.dim
     bits = (f.q - 1).bit_length()
-    keys = [_pack_rows(rows, bits) for c in range(codim + 1) for rows in dual_rref_rows(f, d, c)]
+    keys = [pack(sum(rows, ()), bits) for c in range(codim + 1) for rows in dual_rref_rows(f, d, c)]
     index = {k: i for i, k in enumerate(keys)}
     parent = list(range(len(keys)))
 
@@ -885,7 +870,7 @@ def _t3_class(
     if amb.m:
         t3 = side_by_side(t3, full_space(Ambient(f, KIND_FULL, 3, amb.m)))
     ann = kernel_basis(Matrix(f, t3.dim, amb.dim, sum(t3.basis.vectors, ())))
-    i = keys.index(_pack_rows(ann.vectors, (f.q - 1).bit_length()))
+    i = keys.index(pack(sum(ann.vectors, ()), (f.q - 1).bit_length()))
     members = next(c for c in classes if i in c)
     return frozenset(_case_space(amb, keys[j]).basis for j in members)
 

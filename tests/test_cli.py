@@ -99,14 +99,6 @@ def test_verify_unknown_suite_is_usage_error():
     assert exc.value.code == 2
 
 
-def test_env_cap_is_respected(monkeypatch, capsys):
-    monkeypatch.setenv("RC_KIT_CAP", "10")
-    code = main(["verify", "--suite", "sym-main", "--field", "2", "--n", "3",
-                 "--codim", "1"])
-    assert code == 2
-    assert "cap" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize("suite", ["quotient-lemma", "splitting-lemma"])
 def test_lemma_trials_respect_the_cap(suite, capsys):
     # every nonzero trial space has more than one element

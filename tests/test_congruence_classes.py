@@ -16,7 +16,15 @@ from rckit import verify as V
 from rckit.cli import main
 from rckit.errors import BadParams
 from rckit.field import make_field
-from rckit.linalg import Gf2Accumulator, SubspaceBasis, echelonize, matrix_from_rows
+from rckit.linalg import (
+    Gf2Accumulator,
+    SubspaceBasis,
+    annihilator,
+    echelonize,
+    matrix_from_rows,
+    pack,
+    unpack,
+)
 from rckit.opspace import (
     Ambient,
     KIND_ALT,
@@ -160,6 +168,44 @@ def test_class_sizes_sum_to_the_subspace_counts(amb, codim):
     assert per_codim == [count_subspaces(amb, c) for c in range(codim + 1)]
 
 
+def _key_rows(key, d, bits):
+    """The rows of length d packed one after another in a case key."""
+    rows = []
+    while key:
+        rows.append(unpack(key, d, bits))
+        key >>= d * bits
+    return rows
+
+
+def _case_keys(f, d, codim):
+    """The keys of the subspaces of codimension <= codim, in enumeration order."""
+    bits = (f.q - 1).bit_length()
+    return [pack(sum(rows, ()), bits) for c in range(codim + 1) for rows in dual_rref_rows(f, d, c)]
+
+
+@pytest.mark.parametrize(
+    "amb",
+    [
+        Ambient(F2, KIND_SYM, 3, 0),
+        Ambient(F3, KIND_SYM, 2, 1),
+        Ambient(F4, KIND_SYM, 2, 1),
+        Ambient(F8, KIND_ALT, 3, 0),
+    ],
+    ids=["sym3-f2", "sym2x1-f3", "sym2x1-f4", "alt3-f8"],
+)
+def test_case_space_round_trips_every_key(amb):
+    # the row count comes from the key's bit length: key 0 is the full space
+    f, d = amb.field, amb.dim
+    keys = _case_keys(f, d, 2)
+    assert keys[0] == 0 and V._case_space(amb, 0).codim == 0
+    assert len(set(keys)) == len(keys)
+    for c in range(3):
+        for rows in dual_rref_rows(f, d, c):
+            space = V._case_space(amb, pack(sum(rows, ()), (f.q - 1).bit_length()))
+            assert space.codim == c
+            assert annihilator(space.basis).vectors == rows
+
+
 def _reference_image_keys(amb):
     """The reference for V._image_keys: one C.mat_vec per annihilator row
     and echelonize, and over F_2 the per-bit XOR of the packed columns of C
@@ -173,10 +219,10 @@ def _reference_image_keys(amb):
     if f.q != 2:
         bits = (f.q - 1).bit_length()
         return lambda key: [
-            V._pack_rows(echelonize(f, [c.mat_vec(a) for a in V._key_rows(key, d, bits)], d)[0], bits)
+            pack(sum(echelonize(f, [c.mat_vec(a) for a in _key_rows(key, d, bits)], d)[0], ()), bits)
             for c in tables
         ]
-    packed = [[V._pack_rows([c.col_tuple(t)], 1) for t in range(d)] for c in tables]
+    packed = [[pack(c.col_tuple(t)) for t in range(d)] for c in tables]
     full = (1 << d) - 1
 
     def images(key):
@@ -212,9 +258,7 @@ def _reference_image_keys(amb):
     ids=PARTITION_IDS + ["sym2x1-f8", "sym3-f4", "sym3c2-f3", "sym2c2-f4", "alt3x1c3-f2", "sym3x1c2-f2"],
 )
 def test_image_keys_match_the_reference(amb, codim):
-    f, d = amb.field, amb.dim
-    bits = (f.q - 1).bit_length()
-    keys = [V._pack_rows(rows, bits) for c in range(codim + 1) for rows in dual_rref_rows(f, d, c)]
+    keys = _case_keys(amb.field, amb.dim, codim)
     new, ref = V._image_keys(amb), _reference_image_keys(amb)
     for key in keys:
         assert new(key) == ref(key), key

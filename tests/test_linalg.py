@@ -22,13 +22,13 @@ from rckit.linalg import (
     annihilator,
     echelonize,
     gaussian_binomial,
-    intersect_spaces,
     kernel_basis,
     left_kernel_rows,
     make_accumulator,
     matrix_from_rows,
+    pack,
     solve,
-    sum_spaces,
+    unpack,
 )
 
 F2 = make_field(2)
@@ -478,20 +478,22 @@ def test_double_annihilator_randomized_f3_f4():
             assert annihilator(annihilator(w)) == w
 
 
-def test_sum_and_intersection_dimension_formula():
-    rng = random.Random(37)
-    for field in (F2, F3, F4):
-        for _ in range(40):
-            d = rng.randrange(1, 6)
-            mk = lambda: SubspaceBasis.from_vectors(
-                field, d,
-                [tuple(rng.randrange(field.q) for _ in range(d)) for _ in range(rng.randrange(0, 4))],
-            )
-            a, b = mk(), mk()
-            s, i = sum_spaces(a, b), intersect_spaces(a, b)
-            assert s.dim + i.dim == a.dim + b.dim
-            assert all(s.member(v) for v in a.vectors + b.vectors)
-            assert all(a.member(v) and b.member(v) for v in i.vectors)
+@pytest.mark.parametrize("bits", [1, 2, 3, 4])
+def test_pack_unpack_round_trip(bits):
+    rng = random.Random(bits)
+    for width in range(21):
+        assert unpack(0, width, bits) == (0,) * width
+        for _ in range(20):
+            v = tuple(rng.randrange(1 << bits) for _ in range(width))
+            key = pack(v, bits)
+            # entry t at bit t*bits
+            assert key == sum(x << (t * bits) for t, x in enumerate(v))
+            assert unpack(key, width, bits) == v
+            key = rng.getrandbits(width * bits)
+            assert pack(unpack(key, width, bits), bits) == key
+    assert pack(()) == 0
+    # width cuts the entries read, and bits defaults to 1
+    assert unpack(0b1101, 2) == (1, 0) and pack((1, 0, 1, 1)) == 0b1101
 
 
 def test_gaussian_binomial_values():

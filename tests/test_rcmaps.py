@@ -22,6 +22,7 @@ from rckit.linalg import (
     Matrix,
     SubspaceBasis,
     accumulator_kernel,
+    annihilator,
     kernel_basis,
     left_kernel_rows,
     make_accumulator,
@@ -73,6 +74,7 @@ from rckit.rcmaps import (
     map_to_json,
     MapSpace,
     naive_rc_maps,
+    prime_coeffs_of,
     prime_field,
     quotient_map,
     random_map,
@@ -91,10 +93,10 @@ from rckit.rcmaps import (
     _gf2_basis_keys,
     _gf2_left_kernel,
     _goal,
-    _left_kernel,
     _low_weight_entries,
     _naive_rc_maps_generic,
     _naive_rc_maps_gf2,
+    _odd_patterns,
     _prime_basis_matrices,
 )
 
@@ -619,8 +621,8 @@ def test_memoized_gf2_left_kernel_matches_left_kernel_rows():
 
 
 def test_memoized_left_kernel_matches_left_kernel_rows():
-    # odd characteristic, where _odd_rows reads it; shapes interleave
-    # so a cache that ignored (n, ncols) or the field would be caught
+    # over F_p the patterns of _odd_rows are the left kernel rows; shapes
+    # interleave so a cache that ignored (n, ncols) or the field would be caught
     rng = random.Random(5)
     for _ in range(300):
         field = rng.choice((F3, F5))
@@ -629,7 +631,7 @@ def test_memoized_left_kernel_matches_left_kernel_rows():
             rng.randrange(field.q) if rng.random() < 0.6 else 0 for _ in range(n * ncols)
         )
         for _ in range(2):  # a miss, then a hit
-            got = _left_kernel(field, entries, n, ncols)
+            got = _odd_patterns(field, entries, n, ncols)
             assert isinstance(got, tuple)
             assert list(got) == left_kernel_rows(field, entries, n, ncols)
 
@@ -792,15 +794,6 @@ def test_prime_basis_matrices_decode_the_prime_basis(field, kind):
     assert _prime_basis_matrices(space) == want
 
 
-def test_rc_cap_env_override(monkeypatch):
-    s = build_full_sym(F2, 2)
-    monkeypatch.setenv("RC_KIT_CAP", "3")
-    with pytest.raises(DomainTooLarge):
-        rc_solution_space(s)
-    monkeypatch.setenv("RC_KIT_CAP", "100")
-    assert rc_solution_space(s).dim == 3
-
-
 # -- locality ---------------------------------------------------------------
 
 
@@ -907,6 +900,20 @@ def test_linearity_over_prime_fields_is_automatic():
         assert is_linear(random_map(s, rng))
 
 
+def reference_is_linear(f_map):
+    """Exhaustive check of F(c s) = c F(s) over scalars c and a K-basis."""
+    space = f_map.domain
+    f = space.ambient.field
+    for b in space.basis.vectors:
+        fb = evaluate_at_coeffs(f_map, prime_coeffs_of(space, b))
+        for c in range(f.q):
+            scaled = tuple(f.mul(c, x) for x in b)
+            want = tuple(f.mul(c, x) for x in fb)
+            if evaluate_at_coeffs(f_map, prime_coeffs_of(space, scaled)) != want:
+                return False
+    return True
+
+
 def test_linear_maps_space_agrees_with_is_linear_on_f4():
     rng = random.Random(37)
     s = build_full_sym(F4, 2)
@@ -915,12 +922,41 @@ def test_linear_maps_space_agrees_with_is_linear_on_f4():
     for _ in range(60):
         fm = random_map(s, rng)
         member = lin.contains_coords(map_to_coords(fm))
-        assert member == is_linear(fm)
+        assert member == reference_is_linear(fm) == is_linear(fm)
         hits += member
     for v in lin.basis.vectors:
-        assert is_linear(map_from_coords(s, v))
-    assert is_linear(local_map(s, (2, 3)))
-    assert not is_linear(delta_map(s))
+        assert reference_is_linear(map_from_coords(s, v))
+    assert reference_is_linear(local_map(s, (2, 3)))
+    assert not reference_is_linear(delta_map(s))
+
+
+def _intersection(a, b):
+    """The common vectors of two subspaces of one space: the annihilator of
+    the sum of their annihilators."""
+    both = annihilator(a).vectors + annihilator(b).vectors
+    return annihilator(SubspaceBasis.from_vectors(a.field, a.ambient_dim, both))
+
+
+@pytest.mark.parametrize("field", [F4, F8, F9], ids=["f4", "f8", "f9"])
+def test_linear_rc_space_is_the_intersection_with_the_linear_maps(field):
+    # rc stands for any subspace of map coordinates: linear_rc_space is the
+    # intersection of it with the linear maps, whatever it holds
+    rng = random.Random(field.q)
+    for amb in (Ambient(field, KIND_SYM, 2, 0), Ambient(field, KIND_ALT, 3, 0)):
+        for _ in range(8):
+            vecs = [tuple(rng.randrange(amb.field.q) for _ in range(amb.dim))
+                    for _ in range(rng.randrange(1, 3))]
+            s = space_from_coords(amb, vecs)
+            lin = linear_maps_space(s).basis
+            fp, width = prime_field(s), map_coord_width(s)
+            for size in (0, 1, width // 2, width - 1, width):
+                gens = [tuple(rng.randrange(fp.q) for _ in range(width)) for _ in range(size)]
+                # half the draws mix in linear maps, so the intersection is not only 0
+                gens += rng.sample(lin.vectors, min(len(lin.vectors), size // 2))
+                rc = SubspaceBasis.from_vectors(fp, width, gens)
+                got = linear_rc_space(MapSpace(s, rc))
+                assert got.domain == s
+                assert got.basis == _intersection(rc, lin), (amb, s.basis, size)
 
 
 def test_linear_rc_space_on_alternating_spaces():
