@@ -47,6 +47,7 @@ from .linalg import (
     gaussian_binomial,
     kernel_basis,
     matrix_from_rows,
+    unpack,
 )
 
 KIND_SYM = "sym"
@@ -172,9 +173,6 @@ class OperatorSpace:
     def contains(self, mat: Matrix) -> bool:
         return self.basis.member(encode(self.ambient, mat))
 
-    def basis_matrices(self):
-        return [decode(self.ambient, v) for v in self.basis.vectors]
-
 
 def space_from_coords(amb: Ambient, vectors, product_of=None) -> OperatorSpace:
     basis = SubspaceBasis.from_vectors(amb.field, amb.dim, vectors)
@@ -298,17 +296,21 @@ def rref_rows(field: FieldSpec, dim: int, pivots):
     """Every reduced-row-echelon matrix over K^dim with these pivot columns,
     as a tuple of row tuples, by free entries ascending, the last row's last
     fastest: the product of each row's own range keeps that order."""
-    ranges = []
+    bits = (field.q - 1).bit_length()
+    return product(*[[unpack(o, dim, bits) for o in opts] for opts in rref_ranges(field, dim, pivots)])
+
+
+def rref_ranges(field: FieldSpec, dim: int, pivots) -> list[list[int]]:
+    """The options of each row of rref_rows, row by row, in its order, each
+    row packed as linalg.pack(row, (q - 1).bit_length()) packs it."""
+    bits, ranges = (field.q - 1).bit_length(), []
     for p in pivots:
-        free = [col for col in range(p + 1, dim) if col not in pivots]
-        row = [int(col == p) for col in range(dim)]
-        opts = []
-        for values in product(range(field.q), repeat=len(free)):
-            for col, v in zip(free, values):
-                row[col] = v
-            opts.append(tuple(row))
+        opts = [1 << p * bits]
+        for col in range(p + 1, dim):
+            if col not in pivots:  # the free entries, the last fastest
+                opts = [o | x << col * bits for o in opts for x in range(field.q)]
         ranges.append(opts)
-    return product(*ranges)
+    return ranges
 
 
 def dual_rref_rows(field: FieldSpec, dim: int, rank: int):
@@ -362,10 +364,6 @@ def build_full_sym(f: FieldSpec, n: int, m: int = 0) -> OperatorSpace:
 
 def build_full_alt(f: FieldSpec, n: int, m: int = 0) -> OperatorSpace:
     return full_space(Ambient(f, KIND_ALT, n, m))
-
-
-def build_full_rect(f: FieldSpec, n: int, m: int) -> OperatorSpace:
-    return full_space(Ambient(f, KIND_FULL, n, m))
 
 
 def _unit_span(amb: Ambient, keep) -> OperatorSpace:

@@ -78,7 +78,6 @@ from .opspace import (
     quotient_space,  # not called: perfbench/tracer.py patches rcmaps's name
     side_by_side,
     space_from_json,
-    space_to_json,
 )
 
 DEFAULT_ELEMENT_CAP = 1 << 20
@@ -615,15 +614,6 @@ def _solution_space(space: OperatorSpace, acc) -> MapSpace:
     return MapSpace(space, accumulator_kernel(prime_field(space), acc))
 
 
-def local_map(space: OperatorSpace, x) -> AdditiveMap:
-    """The evaluation map s -> s x for a fixed vector x in K^ncols."""
-    amb = space.ambient
-    if len(x) != amb.ncols:
-        raise AmbientMismatch(f"x must live in K^{amb.ncols}")
-    values = [m.mat_vec(x) for m in _prime_basis_matrices(space)]
-    return AdditiveMap(space, tuple(values))
-
-
 def local_generators(space: OperatorSpace) -> MapGenerators:
     """Generators of the evaluation maps s -> s x, one for each x = lam e_col
     over every column col and power-basis element lam."""
@@ -812,16 +802,6 @@ def root_linear_forms(field: FieldSpec) -> tuple[RootLinearForm, ...]:
     if field.p != 2:
         return ()
     return tuple(root_linear_form(field, c) for c in field.power_basis)
-
-
-def diag_root_linear_map(space: OperatorSpace, form: RootLinearForm) -> AdditiveMap:
-    """The map [A | R] -> alpha(diagonal of A) on a symmetric-block space."""
-    amb = space.ambient
-    if amb.kind != KIND_SYM:
-        raise AmbientMismatch("diagonal maps need a symmetric-block ambient")
-    if form.field is not amb.field:
-        raise MixedFields("form over a different field")
-    return AdditiveMap(space, _diag_values(form, _prime_basis_matrices(space)))
 
 
 def _diag_values(form: RootLinearForm, mats) -> tuple[tuple[int, ...], ...]:
@@ -1073,13 +1053,6 @@ def _naive_rc_maps_gf2(space: OperatorSpace):
 
 # ---------------------------------------------------------------------------
 # JSON
-
-
-def map_to_json(f_map: AdditiveMap) -> dict:
-    return {
-        "space": space_to_json(f_map.domain),
-        "values": [list(v) for v in f_map.values],
-    }
 
 
 def map_from_json(obj: dict, space: OperatorSpace | None = None) -> AdditiveMap:

@@ -23,6 +23,7 @@ from . import __version__
 from .errors import BadParams, EnumerationCapExceeded, IllDefined
 from .field import FieldSpec, parse_field_label
 from .linalg import (
+    Gf2Accumulator,
     Matrix,
     SubspaceBasis,
     echelonize,
@@ -48,13 +49,14 @@ from .opspace import (
     build_u2_block,
     count_subspaces,
     decode,
-    dual_rref_rows,
+    dual_rref_rows,  # not called: perfbench/tracer.py patches verify's name
     encode,
     enumerate_subspaces_up_to,  # not called: perfbench/tracer.py patches verify's name
     full_space,
     projection_table,
     quotient_projection,
     restricted_part,
+    rref_ranges,
     rref_rows,
     side_by_side,
     space_from_coords,
@@ -140,22 +142,6 @@ class VerificationReport:
             "wallTime": self.wall_time,
             "toolVersion": self.tool_version,
         }
-
-
-def report_from_json(obj: dict) -> VerificationReport:
-    raw = dict(obj["suite"])
-    spec = SuiteSpec(
-        suite=raw.pop("suite"),
-        **{k: raw.get(k) for k in ("field", "n", "m", "codim", "r", "trials", "samples", "seed", "cap")},
-    )
-    return VerificationReport(
-        spec,
-        obj["casesRun"],
-        obj["passes"],
-        tuple(dict(f) for f in obj["failures"]),
-        obj["wallTime"],
-        obj["toolVersion"],
-    )
 
 
 def _failure(space: OperatorSpace, map_coords, reason: str) -> dict:
@@ -281,130 +267,169 @@ def _case_space(amb: Ambient, key: int) -> OperatorSpace:
     return OperatorSpace(amb, kernel_basis(Matrix(amb.field, rows, d, unpack(key, rows * d, bits))))
 
 
-def _gf2_key(rows: list[int], width: int) -> int:
-    """The key of the span of independent packed F_2 rows: reduced, ordered
-    by their lowest-bit pivots and packed as Gf2Accumulator.rows_pivots and
-    pack give them."""
-    if len(rows) == 1:  # a nonzero row over F_2 is its own echelon form
-        return rows[0]
-    piv: dict[int, int] = {}  # pivot bit -> reduced row
-    for r in rows:
-        for b, p in piv.items():
-            if r & b:
-                r ^= p
-        low = r & -r
-        for b, p in piv.items():
-            if p & low:
-                piv[b] = p ^ r
-        piv[low] = r
-    key = shift = 0
-    for b in sorted(piv):
-        key |= piv[b] << shift
-        shift += width
-    return key
-
-
-def _image_keys(amb: Ambient):
-    """The function taking a case's key to the keys of its images under
-    _moves(amb), in that order.
-
-    For a move M -> L M R, row u of the matrix C holds the coordinates of
-    L E_u R, E_u the matrix with coordinates e_u.  An annihilator row a of S
-    goes to C.mat_vec(a) = sum_t a_t C e_t, the functional M -> a(L M R), so
-    the images of the rows span the annihilator of L^-1 S R^-1, and their
-    echelon form is its key.
-
-    The columns C e_t are read once per ambient, into one table per move and
-    chunk of the whole entries that fit in a byte: entry b of a table is the
-    sum of a_t C e_t over the entries a_t packed in b (None where one is not
-    a field element), so a packed row's image is a sum of one lookup per
-    chunk.  In characteristic 2 an element's index is its polynomial's bits
-    and addition is XOR, so the images are packed rows added by XOR, and
-    over F_2 _gf2_key reduces them on ints."""
-    f, d = amb.field, amb.dim
+def _chunk_tables(f: FieldSpec, cols) -> list[tuple[int, int, list]]:
+    """The map a -> sum_t a_t cols[t] on packed rows a, as one table per chunk
+    of the whole entries that fit in a byte: entry b of the table at (shift
+    s, mask m) is the sum of a_t cols[t] over the entries a_t packed in b
+    (None where one is not a field element), and a's image is the sum of
+    table[a >> s & m] over the chunks.  Images are packed rows added by XOR
+    in characteristic 2, where an element's index is its polynomial's bits,
+    and tuples added through add_table in odd characteristic."""
     bits = (f.q - 1).bit_length()
     add, mul = f.add_table, f.mul_table
     if f.p == 2:
         zero, plus = 0, xor
         scale = lambda x, col: pack([mul[x][c] for c in col], bits)
     else:
-        zero, plus = (0,) * d, lambda u, v: tuple([add[a][b] for a, b in zip(u, v)])
+        zero, plus = (0,) * len(cols[0]), lambda u, v: tuple([add[a][b] for a, b in zip(u, v)])
         scale = lambda x, col: tuple([mul[x][c] for c in col])
-    units = SubspaceBasis.full(f, d).vectors
     per = max(1, 8 // bits)
-    tables = []
-    for left, right in _moves(amb):
-        c = matrix_from_rows(f, [encode(amb, left.matmul(decode(amb, e)).matmul(right)) for e in units])
-        move = []
-        for t in range(0, d, per):
-            tab = [zero]
-            for u in range(t, min(t + per, d)):
-                col = c.col_tuple(u)
-                step = [scale(x, col) for x in range(f.q)] + [None] * ((1 << bits) - f.q)
-                tab = [None if x is None or b is None else plus(b, x) for x in step for b in tab]
-            move.append((t * bits, tab))
-        tables.append(move)
-    width, mask = d * bits, (1 << per * bits) - 1
+    out = []
+    for t in range(0, len(cols), per):
+        tab = [zero]
+        for col in cols[t : t + per]:
+            step = [scale(x, col) for x in range(f.q)] + [None] * ((1 << bits) - f.q)
+            tab = [None if x is None or b is None else plus(b, x) for x in step for b in tab]
+        out.append((t * bits, len(tab) - 1, tab))
+    return out
+
+
+def _gf2_key(img: int, rows: int, width: int) -> int:
+    """The key of the span of `rows` independent F_2 rows of `width` bits,
+    packed one after another in img: reduced, ordered by their lowest-bit
+    pivots and packed as Gf2Accumulator.rows_pivots and pack give them."""
     full = (1 << width) - 1
-    if f.q == 2:
-        to_key = partial(_gf2_key, width=width)
-    else:
+    if rows == 2:  # reduce on the lower pivot bit, then order the rows
+        x, y = img & full, img >> width
+        if x & -x == y & -y:
+            y ^= x
+        elif y & -y < x & -x:
+            x, y = y, x
+        if x & (y & -y):
+            x ^= y
+        return x | y << width
+    acc = Gf2Accumulator(width)
+    for o in range(0, rows * width, width):
+        acc.add(img >> o & full)
+    return pack(acc.rows_pivots()[0], width)
 
-        def to_key(img) -> int:
-            if f.p == 2:
-                img = [unpack(r, d, bits) for r in img]
-            return pack(sum(echelonize(f, img, d)[0], ()), bits)
 
-    def images(key: int) -> list[int]:
-        rows = []
-        while key:
-            rows.append(key & full)
-            key >>= width
-        out = []
-        for move in tables:
-            img = []
-            for a in rows:
-                r = zero
-                for s, tab in move:
-                    r = plus(r, tab[a >> s & mask])
-                img.append(r)
-            out.append(to_key(img))
-        return out
+def _scale_tables(f: FieldSpec, d: int) -> list:
+    """scale[x] multiplies a row of K^d by x: the _chunk_tables of x I on
+    packed rows in characteristic 2, and mul_table[x] entry by entry on
+    tuple rows in odd characteristic."""
+    if f.p != 2:
+        return f.mul_table
+    units = SubspaceBasis.full(f, d).vectors
+    return [_chunk_tables(f, [tuple(x * v for v in e) for e in units]) for x in range(f.q)]
 
-    return images
+
+def _unit_key(f: FieldSpec, row, scale) -> int:
+    """The key of the line through a nonzero row of K^d (packed in
+    characteristic 2, a tuple in odd): the row times the inverse of its
+    leading entry, through scale = _scale_tables(f, d)."""
+    bits = (f.q - 1).bit_length()
+    if f.p != 2:
+        times = scale[f.inv_table[next(filter(None, row))]]
+        return pack([times[x] for x in row], bits)
+    low = (row & -row).bit_length() - 1
+    key = 0
+    for s, m, tab in scale[f.inv_table[row >> low - low % bits & (1 << bits) - 1]]:
+        key ^= tab[row >> s & m]
+    return key
+
+
+def _level_keys(f: FieldSpec, d: int, c: int) -> list[int]:
+    """pack(sum(rows, ()), bits) over dual_rref_rows(f, d, c), built per pivot
+    set from the packed row options of rref_ranges, each moved up to its row
+    and combined by OR in rref_rows order: no tuple row, no pack per key."""
+    bits = (f.q - 1).bit_length()
+    keys = []
+    for pivots in combinations(range(d), c):
+        level = [0]
+        for o, opts in zip(range(0, c * d * bits, d * bits), rref_ranges(f, d, pivots)):
+            opts = [r << o for r in opts] if o else opts
+            level = [k | r for k in level for r in opts]
+        keys += level
+    return keys
 
 
 def _congruence_classes(amb: Ambient, codim: int, cap: int) -> tuple[list[int], list[list[int]]]:
     """The keys of the subspaces of amb of codimension <= codim, in
     enumeration order, and their classes under the moves as lists of
     indices into the keys, each class ascending and the classes in the order
-    of their first members."""
+    of their first members.  The keys come packed from _level_keys.
+
+    For a move M -> L M R, row u of the matrix C holds the coordinates of
+    L E_u R, E_u the matrix with coordinates e_u.  An annihilator row a of S
+    goes to C.mat_vec(a) = sum_t a_t C e_t, the functional M -> a(L M R), so
+    the images of the rows span the annihilator of L^-1 S R^-1, and the key
+    of that span is the image key.  Moves keep the codimension, so each
+    level (row count c) is united on its own, through the _chunk_tables of
+    diag(C, ..., C): one lookup per chunk of a key gives all its image rows
+    in place.  The image key is their echelon form: over F_2 one row is its
+    own and more go through _gf2_key; over q > 2 one row goes through
+    _unit_key and more through echelonize.
+
+    The union-find joins every key with its images under a generating set of
+    moves, so its classes are exactly the orbits of the group they generate."""
     total = sum(count_subspaces(amb, c) for c in range(codim + 1))
     if total > cap:
         raise EnumerationCapExceeded(f"{total} subspaces exceeds cap {cap}")
     f, d = amb.field, amb.dim
-    bits = (f.q - 1).bit_length()
-    keys = [pack(sum(rows, ()), bits) for c in range(codim + 1) for rows in dual_rref_rows(f, d, c)]
-    index = {k: i for i, k in enumerate(keys)}
-    parent = list(range(len(keys)))
+    q, bits, add = f.q, (f.q - 1).bit_length(), f.add_table
+    width, char2, scale = d * bits, f.p == 2, _scale_tables(f, d) if q > 2 else None
+    units = SubspaceBasis.full(f, d).vectors
+    cols = [  # the columns C e_t of each move
+        list(zip(*[encode(amb, left.matmul(decode(amb, e)).matmul(right)) for e in units]))
+        for left, right in _moves(amb)
+    ]
+    keys, parent = [0], [0]
 
     def find(i: int) -> int:
         while parent[i] != i:
             parent[i] = i = parent[parent[i]]
         return i
 
-    images = _image_keys(amb)
-    for i, key in enumerate(keys):
-        a = find(i)
-        for image in images(key):
-            b = find(index[image])
-            if b < a:  # the smaller index stays the root
-                parent[a], a = b, b
-            elif a < b:
-                parent[b] = a
+    for c in range(1, codim + 1):
+        level, start = _level_keys(f, d, c), len(keys)
+        keys += level
+        index = dict(zip(level, range(start, len(keys))))
+        parent += range(start, len(keys))
+        pad, zero = [(0,) * (r * d) for r in range(c)], (0,) * (c * d)
+        diag = [[z + col + pad[c - 1 - r] for r, z in enumerate(pad) for col in mc] for mc in cols]
+        moves = [_chunk_tables(f, blocks) for blocks in diag]
+        for i, key in enumerate(level, start):
+            a = find(i)
+            for move in moves:
+                if char2:
+                    img = 0
+                    for s, m, tab in move:
+                        img ^= tab[key >> s & m]
+                else:
+                    img = zero
+                    for s, m, tab in move:
+                        img = tuple([add[u][v] for u, v in zip(img, tab[key >> s & m])])
+                if q == 2:
+                    if c > 1:
+                        img = _gf2_key(img, c, width)
+                elif c == 1:
+                    img = _unit_key(f, img, scale)
+                else:
+                    flat = unpack(img, c * d, bits) if char2 else img
+                    rows = echelonize(f, [flat[t : t + d] for t in range(0, c * d, d)], d)[0]
+                    img = pack(sum(rows, ()), bits)
+                b = index[img]
+                while parent[b] != b:
+                    parent[b] = b = parent[parent[b]]
+                if b < a:  # the smaller index stays the root
+                    parent[a], a = b, b
+                elif a < b:
+                    parent[b] = a
     classes: dict[int, list[int]] = {}
-    for i in range(len(keys)):
-        classes.setdefault(find(i), []).append(i)
+    for i, p in enumerate(parent):  # a root is its class's first member
+        parent[i] = parent[p]
+        classes.setdefault(parent[i], []).append(i)
     return keys, list(classes.values())
 
 
@@ -452,7 +477,10 @@ def _run_class_suite(
     _congruence_classes unites the cases under the moves M -> L M R of
     _moves: [A | R] -> [Q^T A Q | Q^T R] on sym and alt, s -> P s and
     s -> s Q on rectangles, with Q and P each I + E_01, the cycle, or (q > 2)
-    diag(w, 1, ..., 1).
+    diag(w, 1, ..., 1).  It builds the case keys packed, pivot set by pivot
+    set, and images every key inside its union loop: a few chunk-table
+    lookups per move, then the image's canonical key on ints (F_2) or by
+    one scaling of a single row (q > 2), with no tuple round trip.
 
     Soundness.  For invertible Q and S' = {Q^T M D : M in S}, D = diag(Q, I_m),
     F -> F' with F'(Q^T M D) = Q^T F(M) is a bijection between the additive

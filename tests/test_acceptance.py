@@ -17,7 +17,6 @@ from rckit.opspace import (
     KIND_ALT,
     KIND_SYM,
     build_full_alt,
-    build_full_rect,
     build_full_sym,
     build_sym_block,
     build_u2_block,
@@ -42,6 +41,8 @@ from rckit.verify import (
     run_sym_main,
     run_sym_optimality,
 )
+
+from test_opspace import build_full_rect
 
 F2 = make_field(2)
 F3 = make_field(3)

@@ -12,8 +12,10 @@ from rckit import verify
 from rckit.cli import main
 from rckit.field import make_field
 from rckit.opspace import build_space, space_to_json
-from rckit.rcmaps import diag_root_linear_map, local_map, map_to_json, root_linear_forms
+from rckit.rcmaps import root_linear_forms
 from rckit.verify import SuiteSpec, VerificationReport
+
+from test_rcmaps import diag_root_linear_map, local_map, map_to_json
 
 F2 = make_field(2)
 

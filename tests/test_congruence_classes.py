@@ -9,12 +9,13 @@ from __future__ import annotations
 import time
 from functools import lru_cache, partial
 from itertools import product
+from operator import xor
 
 import pytest
 
 from rckit import verify as V
 from rckit.cli import main
-from rckit.errors import BadParams
+from rckit.errors import BadParams, EnumerationCapExceeded
 from rckit.field import make_field
 from rckit.linalg import (
     Gf2Accumulator,
@@ -41,7 +42,7 @@ from rckit.opspace import (
 from rckit.rcmaps import element_cap
 
 from test_linalg import rank
-from test_opspace import congruent
+from test_opspace import basis_matrices, congruent
 from test_verify import _brute_t3_orbit, _canonical_sha256
 
 F2 = make_field(2)
@@ -49,6 +50,7 @@ F3 = make_field(3)
 F4 = make_field(2, 2)
 F5 = make_field(5)
 F8 = make_field(2, 3)
+F9 = make_field(3, 2)
 
 
 def _per_case_suite(suite, amb, case, codim, cap, jobs, admissible=None):
@@ -117,7 +119,7 @@ def _both(monkeypatch, run, name="_run_class_suite", reference=_per_case_suite):
 def _move_image(amb, left, right, space):
     """{L M R : M in space}, by matrix products."""
     if amb.kind == KIND_FULL:
-        mats = [left.matmul(m).matmul(right) for m in space.basis_matrices()]
+        mats = [left.matmul(m).matmul(right) for m in basis_matrices(space)]
         return space_from_matrices(amb, mats)
     return congruent(space, left.transpose())
 
@@ -148,7 +150,7 @@ def test_every_union_edge_is_a_congruence(amb, codim):
     index = {k: i for i, k in enumerate(keys)}
     cls = {i: c for c, members in enumerate(classes) for i in members}
     moves = V._moves(amb)
-    images = V._image_keys(amb)
+    images = _image_keys(amb)
     for i, key in enumerate(keys):
         for (left, right), image in zip(moves, images(key)):
             assert _move_image(amb, left, right, spaces[index[image]]) == spaces[i]
@@ -244,24 +246,150 @@ def _reference_image_keys(amb):
     return images
 
 
-@pytest.mark.parametrize(
-    "amb, codim",
-    PARTITIONS
-    + [
-        (Ambient(F8, KIND_SYM, 2, 1), 1),  # 15 bits per row, across the 6-bit chunks
-        (Ambient(F4, KIND_SYM, 3, 0), 1),
-        (Ambient(F3, KIND_SYM, 3, 0), 2),  # several rows over odd q
-        (Ambient(F4, KIND_SYM, 2, 0), 2),
-        (Ambient(F2, KIND_ALT, 3, 1), 3),  # three rows over F_2
-        (Ambient(F2, KIND_SYM, 3, 1), 2),  # two rows of 9 bits over F_2
-    ],
-    ids=PARTITION_IDS + ["sym2x1-f8", "sym3-f4", "sym3c2-f3", "sym2c2-f4", "alt3x1c3-f2", "sym3x1c2-f2"],
-)
+def _image_keys(amb):
+    """The function taking a case's key to the keys of its images under
+    V._moves(amb), in that order: the image step of V._congruence_classes
+    before it imaged packed keys inline, kept as its reference.
+
+    For a move M -> L M R, row u of the matrix C holds the coordinates of
+    L E_u R, and an annihilator row a goes to C.mat_vec(a).  The columns
+    C e_t are read into one table per move and chunk of the whole entries
+    that fit in a byte (None where an entry is not a field element), so a
+    packed row's image is a sum of one lookup per chunk: packed rows added
+    by XOR in characteristic 2, tuples added through add_table otherwise.
+    The image key is the echelon form of the image rows, packed."""
+    f, d = amb.field, amb.dim
+    bits = (f.q - 1).bit_length()
+    add, mul = f.add_table, f.mul_table
+    if f.p == 2:
+        zero, plus = 0, xor
+        scale = lambda x, col: pack([mul[x][c] for c in col], bits)
+    else:
+        zero, plus = (0,) * d, lambda u, v: tuple([add[a][b] for a, b in zip(u, v)])
+        scale = lambda x, col: tuple([mul[x][c] for c in col])
+    units = SubspaceBasis.full(f, d).vectors
+    per = max(1, 8 // bits)
+    tables = []
+    for left, right in V._moves(amb):
+        c = matrix_from_rows(f, [encode(amb, left.matmul(decode(amb, e)).matmul(right)) for e in units])
+        move = []
+        for t in range(0, d, per):
+            tab = [zero]
+            for u in range(t, min(t + per, d)):
+                col = c.col_tuple(u)
+                step = [scale(x, col) for x in range(f.q)] + [None] * ((1 << bits) - f.q)
+                tab = [None if x is None or b is None else plus(b, x) for x in step for b in tab]
+            move.append((t * bits, tab))
+        tables.append(move)
+    width, mask = d * bits, (1 << per * bits) - 1
+    full = (1 << width) - 1
+
+    def to_key(img) -> int:
+        if f.p == 2:
+            img = [unpack(r, d, bits) for r in img]
+        return pack(sum(echelonize(f, img, d)[0], ()), bits)
+
+    def images(key: int) -> list[int]:
+        rows = []
+        while key:
+            rows.append(key & full)
+            key >>= width
+        out = []
+        for move in tables:
+            img = []
+            for a in rows:
+                r = zero
+                for s, tab in move:
+                    r = plus(r, tab[a >> s & mask])
+                img.append(r)
+            out.append(to_key(img))
+        return out
+
+    return images
+
+
+def _reference_congruence_classes(amb, codim, cap):
+    """The reference for V._congruence_classes: keys packed from the tuple
+    rows of dual_rref_rows, united with their _image_keys."""
+    total = sum(count_subspaces(amb, c) for c in range(codim + 1))
+    if total > cap:
+        raise EnumerationCapExceeded(f"{total} subspaces exceeds cap {cap}")
+    keys = _case_keys(amb.field, amb.dim, codim)
+    index = {k: i for i, k in enumerate(keys)}
+    parent = list(range(len(keys)))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        return i
+
+    images = _image_keys(amb)
+    for i, key in enumerate(keys):
+        a = find(i)
+        for image in images(key):
+            b = find(index[image])
+            if b < a:  # the smaller index stays the root
+                parent[a], a = b, b
+            elif a < b:
+                parent[b] = a
+    classes: dict[int, list[int]] = {}
+    for i in range(len(keys)):
+        classes.setdefault(find(i), []).append(i)
+    return keys, list(classes.values())
+
+
+# the PARTITIONS ambients and more keys of several rows, and of every field
+# shape: F_2, odd q, GF(2^k) and F_9
+KEYED = PARTITIONS + [
+    (Ambient(F8, KIND_SYM, 2, 1), 1),  # 15 bits per row, across the 6-bit chunks
+    (Ambient(F4, KIND_SYM, 3, 0), 1),
+    (Ambient(F3, KIND_SYM, 3, 0), 2),  # several rows over odd q
+    (Ambient(F4, KIND_SYM, 2, 0), 2),
+    (Ambient(F2, KIND_ALT, 3, 1), 3),  # three rows over F_2
+    (Ambient(F2, KIND_SYM, 3, 1), 2),  # two rows of 9 bits over F_2
+    (Ambient(F9, KIND_SYM, 2, 0), 2),
+    (Ambient(F8, KIND_ALT, 3, 0), 2),  # two rows over GF(8)
+]
+KEYED_IDS = PARTITION_IDS + [
+    "sym2x1-f8", "sym3-f4", "sym3c2-f3", "sym2c2-f4", "alt3x1c3-f2", "sym3x1c2-f2", "sym2c2-f9",
+    "alt3c2-f8",
+]
+
+
+@pytest.mark.parametrize("amb, codim", KEYED, ids=KEYED_IDS)
 def test_image_keys_match_the_reference(amb, codim):
     keys = _case_keys(amb.field, amb.dim, codim)
-    new, ref = V._image_keys(amb), _reference_image_keys(amb)
+    new, ref = _image_keys(amb), _reference_image_keys(amb)
     for key in keys:
         assert new(key) == ref(key), key
+
+
+@pytest.mark.parametrize("amb, codim", KEYED, ids=KEYED_IDS)
+def test_keys_and_classes_match_the_reference(amb, codim):
+    keys, classes = V._congruence_classes(amb, codim, 1 << 20)
+    assert keys == _case_keys(amb.field, amb.dim, codim)
+    assert (keys, classes) == _reference_congruence_classes(amb, codim, 1 << 20)
+
+
+@pytest.mark.parametrize("field", [F3, F4, F8, F9], ids=["f3", "f4", "f8", "f9"])
+def test_unit_key_is_the_echelon_form_of_the_row(field):
+    bits = (field.q - 1).bit_length()
+    for d in range(1, 5):
+        scale = V._scale_tables(field, d)
+        for v in product(range(field.q), repeat=d):
+            if any(v):
+                row = pack(v, bits) if field.p == 2 else v
+                assert V._unit_key(field, row, scale) == pack(echelonize(field, [v], d)[0][0], bits), v
+
+
+def test_gf2_two_row_key_is_the_accumulator_echelon_form():
+    # every ordered pair of independent rows of F_2^6
+    for x, y in product(range(1, 64), repeat=2):
+        if x != y:
+            acc = Gf2Accumulator(6)
+            acc.add(x)
+            acc.add(y)
+            assert V._gf2_key(x | y << 6, 2, 6) == pack(acc.rows_pivots()[0], 6), (x, y)
 
 
 def _general_linear(f, k):

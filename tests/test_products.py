@@ -31,6 +31,7 @@ from rckit.rcmaps import (
 )
 from rckit.verify import _SPLIT_SHAPES
 
+from test_opspace import basis_matrices
 from test_rcmaps import prime_basis_vectors
 
 F2 = make_field(2)
@@ -54,10 +55,10 @@ def ref_side_by_side(a: OperatorSpace, b: OperatorSpace) -> OperatorSpace:
     amb = Ambient(f, a.ambient.kind, a.ambient.n, a.ambient.m + b.ambient.m)
     nrows, old_cols, extra = amb.nrows, a.ambient.ncols, b.ambient.m
     mats = []
-    for mat in a.basis_matrices():
+    for mat in basis_matrices(a):
         ent = [list(mat.row_tuple(i)) + [0] * extra for i in range(nrows)]
         mats.append(matrix_from_rows(f, ent))
-    for mat in b.basis_matrices():
+    for mat in basis_matrices(b):
         ent = [[0] * old_cols + list(mat.row_tuple(i)) for i in range(nrows)]
         mats.append(matrix_from_rows(f, ent))
     return space_from_coords(amb, [encode(amb, m) for m in mats], product_of=(a, b))

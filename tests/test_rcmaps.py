@@ -14,6 +14,7 @@ from rckit.errors import (
     CharacteristicMismatch,
     DomainTooLarge,
     IllDefined,
+    MixedFields,
     NotInDomain,
 )
 from rckit.field import make_field
@@ -35,7 +36,6 @@ from rckit.opspace import (
     KIND_SYM,
     Ambient,
     build_full_alt,
-    build_full_rect,
     build_full_sym,
     build_sym_block,
     build_t3,
@@ -47,11 +47,11 @@ from rckit.opspace import (
     quotient_space,
     side_by_side,
     space_from_coords,
+    space_to_json,
 )
 import rckit.rcmaps as rcmaps
 from rckit.rcmaps import (
     AdditiveMap,
-    diag_root_linear_map,
     evaluate,
     evaluate_at_coeffs,
     is_linear,
@@ -64,14 +64,12 @@ from rckit.rcmaps import (
     linear_maps_space,
     linear_rc_space,
     local_generators,
-    local_map,
     local_space,
     map_coord_width,
     map_from_coords,
     map_from_function,
     map_from_json,
     map_to_coords,
-    map_to_json,
     MapSpace,
     naive_rc_maps,
     prime_coeffs_of,
@@ -89,6 +87,7 @@ from rckit.rcmaps import (
     _char2_generators,
     _char2_patterns,
     _cuts_out,
+    _diag_values,
     _decoded_generators,
     _gf2_basis_keys,
     _gf2_left_kernel,
@@ -99,6 +98,8 @@ from rckit.rcmaps import (
     _odd_patterns,
     _prime_basis_matrices,
 )
+
+from test_opspace import build_full_rect
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -113,6 +114,27 @@ def prime_basis_vectors(space):
     j = i*k + t: the order of the values of an additive map."""
     f = space.ambient.field
     return [tuple(f.mul(lam, x) for x in b) for b in space.basis.vectors for lam in f.power_basis]
+
+
+def local_map(space, x):
+    """The evaluation map s -> s x for a fixed vector x in K^ncols."""
+    if len(x) != space.ambient.ncols:
+        raise AmbientMismatch(f"x must live in K^{space.ambient.ncols}")
+    return AdditiveMap(space, tuple(m.mat_vec(x) for m in _prime_basis_matrices(space)))
+
+
+def diag_root_linear_map(space, form):
+    """The map [A | R] -> alpha(diagonal of A) on a symmetric-block space."""
+    if space.ambient.kind != KIND_SYM:
+        raise AmbientMismatch("diagonal maps need a symmetric-block ambient")
+    if form.field is not space.ambient.field:
+        raise MixedFields("form over a different field")
+    return AdditiveMap(space, _diag_values(form, _prime_basis_matrices(space)))
+
+
+def map_to_json(f_map):
+    """The inverse of map_from_json."""
+    return {"space": space_to_json(f_map.domain), "values": [list(v) for v in f_map.values]}
 
 
 def zero_map(space):

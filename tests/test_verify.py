@@ -44,6 +44,23 @@ from rckit.rcmaps import (
 from rckit import verify as V
 
 from test_linalg import rank
+from test_opspace import basis_matrices
+
+
+def report_from_json(obj: dict) -> V.VerificationReport:
+    raw = dict(obj["suite"])
+    spec = V.SuiteSpec(
+        suite=raw.pop("suite"),
+        **{k: raw.get(k) for k in ("field", "n", "m", "codim", "r", "trials", "samples", "seed", "cap")},
+    )
+    return V.VerificationReport(
+        spec,
+        obj["casesRun"],
+        obj["passes"],
+        tuple(dict(f) for f in obj["failures"]),
+        obj["wallTime"],
+        obj["toolVersion"],
+    )
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -69,7 +86,7 @@ def test_report_shape_and_round_trip():
     assert obj["casesRun"] == obj["passes"] == 1
     assert obj["failures"] == []
     assert isinstance(obj["wallTime"], float)
-    back = V.report_from_json(json.loads(json.dumps(obj)))
+    back = report_from_json(json.loads(json.dumps(obj)))
     assert back.to_json() == obj
 
 
@@ -565,7 +582,7 @@ def _matrix_good_lines(space):
     count = overflow = 0
     for x in V.line_reps(field, n):
         p = quotient_projection(space, SubspaceBasis.from_vectors(field, n, [x]))
-        vecs = [p.matmul(mat).entries for mat in space.basis_matrices()]
+        vecs = [p.matmul(mat).entries for mat in basis_matrices(space)]
         dim = SubspaceBasis.from_vectors(field, rect_dim, vecs).dim
         if dim > self_adjoint_dim:
             overflow += 1
@@ -616,7 +633,7 @@ def _brute_t3_orbit(field, m):
     base = build_t3(field)
     if m:
         base = side_by_side(base, full_space(Ambient(field, KIND_FULL, 3, m)))
-    mats = base.basis_matrices()
+    mats = basis_matrices(base)
     out = set()
     for entries in product(range(field.q), repeat=9):
         q = Matrix(field, 3, 3, entries)
