@@ -32,18 +32,7 @@ from .rcmaps import (
     rc_solution_space,
     standard_space,
 )
-from .verify import (
-    SUITE_IDS,
-    run_alt_optimality,
-    run_dim3_alt,
-    run_good_functionals,
-    run_mf_suite,
-    run_quotient_property,
-    run_rank1_gaps,
-    run_splitting_property,
-    run_suite,
-    run_sym_optimality,
-)
+from .verify import SUITE_IDS, run_suite
 
 
 def _dump_json(obj, path: str | None) -> None:
@@ -192,8 +181,8 @@ def _cmd_build_space(args) -> int:
 
 def _cmd_counterexamples(args) -> int:
     reports = [
-        run_sym_optimality(args.cap, args.jobs),
-        run_alt_optimality(args.cap, args.jobs),
+        run_suite(suite, cap=args.cap, jobs=args.jobs)
+        for suite in ("sym-optimality", "alt-optimality")
     ]
     for report in reports:
         _print_report(report)
@@ -206,19 +195,24 @@ def _cmd_lemmas(args) -> int:
     field = parse_field_label(args.field or "2")
     trials = args.trials if args.trials is not None else 100
     reports = [
-        run_rank1_gaps(field, 3, args.cap, args.jobs),
-        run_good_functionals(field, args.cap, args.jobs),
-        run_dim3_alt(field, args.cap),
-        run_mf_suite(
-            field,
-            r=args.r if args.r is not None else 1,
+        run_suite(
+            suite,
+            field=field,
+            r=args.r,
+            trials=trials,
             samples=args.samples,
             seed=args.seed,
             cap=args.cap,
             jobs=args.jobs,
-        ),
-        run_quotient_property(trials, args.seed, args.jobs, args.cap),
-        run_splitting_property(trials, args.seed, args.jobs, args.cap),
+        )
+        for suite in (
+            "rank1-gaps",
+            "good-functionals",
+            "dim3-alt",
+            "mf-lemma",
+            "quotient-lemma",
+            "splitting-lemma",
+        )
     ]
     for report in reports:
         _print_report(report)

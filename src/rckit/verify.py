@@ -241,9 +241,9 @@ def _gl_generators(f: FieldSpec, k: int) -> list[list[list[int]]]:
 
 
 def _moves(amb: Ambient) -> list[tuple[Matrix, Matrix]]:
-    """The pairs (L, R) of the moves M -> L M R that _congruence_classes
-    unites cases by: (Q^T, diag(Q, I_m)) on sym and alt, (P, I_m) and
-    (I_n, Q) on rectangles, for P and Q from _gl_generators."""
+    """The pairs (L, R) of the moves M -> L M R whose orbits
+    _congruence_classes finds: (Q^T, diag(Q, I_m)) on sym and alt, (P, I_m)
+    and (I_n, Q) on rectangles, for P and Q from _gl_generators."""
     f, n, m = amb.field, amb.n, amb.m
     eye = lambda k: SubspaceBasis.full(f, k).vectors
     if amb.kind == KIND_FULL:
@@ -365,14 +365,20 @@ def _congruence_classes(amb: Ambient, codim: int, cap: int) -> tuple[list[int], 
     goes to C.mat_vec(a) = sum_t a_t C e_t, the functional M -> a(L M R), so
     the images of the rows span the annihilator of L^-1 S R^-1, and the key
     of that span is the image key.  Moves keep the codimension, so each
-    level (row count c) is united on its own, through the _chunk_tables of
+    level (row count c) is searched on its own, through the _chunk_tables of
     diag(C, ..., C): one lookup per chunk of a key gives all its image rows
     in place.  The image key is their echelon form: over F_2 one row is its
     own and more go through _gf2_key; over q > 2 one row goes through
     _unit_key and more through echelonize.
 
-    The union-find joins every key with its images under a generating set of
-    moves, so its classes are exactly the orbits of the group they generate."""
+    Each class is a breadth-first orbit search from the first key of the
+    level not yet seen, which images every member under every move and
+    appends the images not yet seen.  Every move is invertible and the moves
+    generate a finite group, so the inverse of each is a power of it, and
+    the forward closure of a key under the moves is its whole orbit.  The
+    search starts from the smallest unseen index, so every member is at
+    least that index and the classes come out in first-member order.  Each
+    key is imaged once per move."""
     total = sum(count_subspaces(amb, c) for c in range(codim + 1))
     if total > cap:
         raise EnumerationCapExceeded(f"{total} subspaces exceeds cap {cap}")
@@ -384,53 +390,45 @@ def _congruence_classes(amb: Ambient, codim: int, cap: int) -> tuple[list[int], 
         list(zip(*[encode(amb, left.matmul(decode(amb, e)).matmul(right)) for e in units]))
         for left, right in _moves(amb)
     ]
-    keys, parent = [0], [0]
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = i = parent[parent[i]]
-        return i
-
+    keys, classes = [0], [[0]]
     for c in range(1, codim + 1):
         level, start = _level_keys(f, d, c), len(keys)
         keys += level
-        index = dict(zip(level, range(start, len(keys))))
-        parent += range(start, len(keys))
+        index = dict(zip(level, range(len(level))))
         pad, zero = [(0,) * (r * d) for r in range(c)], (0,) * (c * d)
         diag = [[z + col + pad[c - 1 - r] for r, z in enumerate(pad) for col in mc] for mc in cols]
         moves = [_chunk_tables(f, blocks) for blocks in diag]
-        for i, key in enumerate(level, start):
-            a = find(i)
-            for move in moves:
-                if char2:
-                    img = 0
-                    for s, m, tab in move:
-                        img ^= tab[key >> s & m]
-                else:
-                    img = zero
-                    for s, m, tab in move:
-                        img = tuple([add[u][v] for u, v in zip(img, tab[key >> s & m])])
-                if q == 2:
-                    if c > 1:
-                        img = _gf2_key(img, c, width)
-                elif c == 1:
-                    img = _unit_key(f, img, scale)
-                else:
-                    flat = unpack(img, c * d, bits) if char2 else img
-                    rows = echelonize(f, [flat[t : t + d] for t in range(0, c * d, d)], d)[0]
-                    img = pack(sum(rows, ()), bits)
-                b = index[img]
-                while parent[b] != b:
-                    parent[b] = b = parent[parent[b]]
-                if b < a:  # the smaller index stays the root
-                    parent[a], a = b, b
-                elif a < b:
-                    parent[b] = a
-    classes: dict[int, list[int]] = {}
-    for i, p in enumerate(parent):  # a root is its class's first member
-        parent[i] = parent[p]
-        classes.setdefault(parent[i], []).append(i)
-    return keys, list(classes.values())
+        seen = bytearray(len(level))
+        for i in range(len(level)):
+            if seen[i]:
+                continue
+            seen[i], orbit = 1, [i]
+            for j in orbit:  # grows as the search meets unseen images
+                key = level[j]
+                for move in moves:
+                    if char2:
+                        img = 0
+                        for s, m, tab in move:
+                            img ^= tab[key >> s & m]
+                    else:
+                        img = zero
+                        for s, m, tab in move:
+                            img = tuple([add[u][v] for u, v in zip(img, tab[key >> s & m])])
+                    if q == 2:
+                        if c > 1:
+                            img = _gf2_key(img, c, width)
+                    elif c == 1:
+                        img = _unit_key(f, img, scale)
+                    else:
+                        flat = unpack(img, c * d, bits) if char2 else img
+                        rows = echelonize(f, [flat[t : t + d] for t in range(0, c * d, d)], d)[0]
+                        img = pack(sum(rows, ()), bits)
+                    b = index[img]
+                    if not seen[b]:
+                        seen[b] = 1
+                        orbit.append(b)
+            classes.append([start + j for j in sorted(orbit)])
+    return keys, classes
 
 
 # ---------------------------------------------------------------------------
@@ -474,13 +472,16 @@ def _run_class_suite(
     one case of case(cap, space), solved once per congruence class by
     _solve_classes.
 
-    _congruence_classes unites the cases under the moves M -> L M R of
-    _moves: [A | R] -> [Q^T A Q | Q^T R] on sym and alt, s -> P s and
-    s -> s Q on rectangles, with Q and P each I + E_01, the cycle, or (q > 2)
-    diag(w, 1, ..., 1).  It builds the case keys packed, pivot set by pivot
-    set, and images every key inside its union loop: a few chunk-table
-    lookups per move, then the image's canonical key on ints (F_2) or by
-    one scaling of a single row (q > 2), with no tuple round trip.
+    _congruence_classes finds the orbits of the cases under the moves
+    M -> L M R of _moves: [A | R] -> [Q^T A Q | Q^T R] on sym and alt,
+    s -> P s and s -> s Q on rectangles, with Q and P each I + E_01, the
+    cycle, or (q > 2) diag(w, 1, ..., 1).  It builds the case keys packed,
+    pivot set by pivot set, and grows each orbit breadth first from its
+    smallest unseen key, imaging every member once per move: a few
+    chunk-table lookups, then the image's canonical key on ints (F_2) or by
+    one scaling of a single row (q > 2), with no tuple round trip.  The
+    moves are invertible and generate a finite group, so the inverse of
+    each is a power of it and the forward search reaches the whole orbit.
 
     Soundness.  For invertible Q and S' = {Q^T M D : M in S}, D = diag(Q, I_m),
     F -> F' with F'(Q^T M D) = Q^T F(M) is a bijection between the additive
@@ -709,18 +710,19 @@ def alt_witness_cases() -> list:
     return cases
 
 
-def run_sym_optimality(cap: int | None = None, jobs: int = 1) -> VerificationReport:
+def _run_witnesses(suite: str, witness_cases, cap: int | None, jobs: int) -> VerificationReport:
     cap = element_cap(cap)
     t0 = time.perf_counter()
-    per_case = _map_cases(_witness_case, sym_witness_cases(), jobs)
-    return _finish(SuiteSpec("sym-optimality", cap=cap), per_case, t0)
+    per_case = _map_cases(_witness_case, witness_cases(), jobs)
+    return _finish(SuiteSpec(suite, cap=cap), per_case, t0)
+
+
+def run_sym_optimality(cap: int | None = None, jobs: int = 1) -> VerificationReport:
+    return _run_witnesses("sym-optimality", sym_witness_cases, cap, jobs)
 
 
 def run_alt_optimality(cap: int | None = None, jobs: int = 1) -> VerificationReport:
-    cap = element_cap(cap)
-    t0 = time.perf_counter()
-    per_case = _map_cases(_witness_case, alt_witness_cases(), jobs)
-    return _finish(SuiteSpec("alt-optimality", cap=cap), per_case, t0)
+    return _run_witnesses("alt-optimality", alt_witness_cases, cap, jobs)
 
 
 # ---------------------------------------------------------------------------
@@ -1056,6 +1058,17 @@ def _random_member(mspace: MapSpace, rng) -> AdditiveMap:
     return map_from_coords(mspace.domain, tuple(coords))
 
 
+def _run_trials(
+    suite: str, trial, trials: int, seed: int, jobs: int, cap: int | None
+) -> VerificationReport:
+    """The report of trial(seed, cap, idx) over idx in range(trials)."""
+    if trials < 1:
+        raise BadParams("need at least one trial")
+    t0 = time.perf_counter()
+    per_case = _map_cases(partial(trial, seed, element_cap(cap)), range(trials), jobs)
+    return _finish(SuiteSpec(suite, trials=trials, seed=seed), per_case, t0)
+
+
 def _quotient_trial(seed: int, cap: int, idx: int) -> list[dict]:
     rng = random.Random(f"quotient:{seed}:{idx}")
     label, kind, n, m = _QUOTIENT_DOMAINS[rng.randrange(len(_QUOTIENT_DOMAINS))]
@@ -1093,13 +1106,7 @@ def run_quotient_property(
     that their quotients are defined, commute with the projection on every
     element, and stay range-compatible.  cap bounds every element walk; the
     report leaves it out, so the pinned digests do not depend on it."""
-    if trials < 1:
-        raise BadParams("need at least one trial")
-    t0 = time.perf_counter()
-    trial = partial(_quotient_trial, seed, element_cap(cap))
-    per_case = _map_cases(trial, list(range(trials)), jobs)
-    spec = SuiteSpec("quotient-lemma", trials=trials, seed=seed)
-    return _finish(spec, per_case, t0)
+    return _run_trials("quotient-lemma", _quotient_trial, trials, seed, jobs, cap)
 
 
 _SPLIT_SHAPES = (
@@ -1159,13 +1166,7 @@ def run_splitting_property(
     """Randomized check that joining and splitting maps over side-by-side
     products are mutually inverse and preserve range-compatibility and
     locality exactly.  cap as in run_quotient_property."""
-    if trials < 1:
-        raise BadParams("need at least one trial")
-    t0 = time.perf_counter()
-    trial = partial(_split_trial, seed, element_cap(cap))
-    per_case = _map_cases(trial, list(range(trials)), jobs)
-    spec = SuiteSpec("splitting-lemma", trials=trials, seed=seed)
-    return _finish(spec, per_case, t0)
+    return _run_trials("splitting-lemma", _split_trial, trials, seed, jobs, cap)
 
 
 # ---------------------------------------------------------------------------

@@ -350,7 +350,7 @@ def test_side_by_side():
 def congruent(s, q):
     """The space of Q^T M diag(Q, I_m) = [Q^T A Q | Q^T R] over M = [A | R]
     in s, for an n x n matrix Q, by matrix products: a congruence of s when
-    Q is invertible.  The oracle for the union edges of the congruence
+    Q is invertible.  The oracle for the moves of the congruence
     classes."""
     amb = s.ambient
     if amb.kind == KIND_FULL:

@@ -199,15 +199,31 @@ def test_gf4_class_suite_reports_are_pinned(run, cases, digest):
             365,
             "96ec9a1e3a91f8c2c35fd5333505ba6aa1a421ab2f6a4897c5d0367ac8a0a3f1",
         ),
+        (
+            lambda: V.run_alt_main(F3, 4),
+            365,
+            "f839b5a7634beeb6da92c9fab2929fbbe14eabc8a1c5561b1e5f448671c8cbb3",
+        ),
     ],
-    ids=["sym4c1-f2", "sym3-f3", "alt5c1-f2", "alt4x1c1-f2", "alt3x1-f4", "rect3x2-f2", "rect3x2-f3"],
+    ids=[
+        "sym4c1-f2",
+        "sym3-f3",
+        "alt5c1-f2",
+        "alt4x1c1-f2",
+        "alt3x1-f4",
+        "rect3x2-f2",
+        "rect3x2-f3",
+        "alt4-f3",
+    ],
 )
 def test_certified_class_suite_reports_are_pinned(run, cases, digest):
     # the digests are those of the walks in Gray or odometer order alone,
     # which the low-weight prefix must reproduce byte for byte (apart from
     # wallTime): over F_2, over F_3 and with the alternating local target;
-    # the last four are those of the driver that solved every case on its
-    # own, which the one solve per congruence class must reproduce too
+    # alt4x1c1-f2 to rect3x2-f3 are those of the driver that solved every
+    # case on its own, which the one solve per congruence class must
+    # reproduce too; alt4-f3, taken from the class driver, is the one that
+    # keys multi-row cases over odd q (through echelonize)
     rep = run()
     assert rep.verified and rep.cases_run == cases
     assert _canonical_sha256(rep) == digest
@@ -653,7 +669,7 @@ def _brute_t3_orbit(field, m):
 
 @pytest.mark.parametrize("m", [0, 1])
 def test_t3_class_matches_brute_force(m):
-    # the union-find class of the t3 block with free tail is its whole orbit
+    # the congruence class of the t3 block with free tail is its whole orbit
     orbit = _t3_class(m)
     assert orbit == _brute_t3_orbit(F2, m)
     assert len(orbit) == 21
