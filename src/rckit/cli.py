@@ -111,8 +111,8 @@ def _cmd_classify(args) -> int:
     print(f"exotic (non-local) dimension: {exotic}")
     all_local = rc.basis == loc.basis
     print(f"every solution local: {'yes' if all_local else 'no'}")
+    all_std = None if std is None else all(std.basis.member(v) for v in rc.basis.vectors)
     if std is not None:
-        all_std = all(std.basis.member(v) for v in rc.basis.vectors)
         print(f"every solution standard: {'yes' if all_std else 'no'}")
     if args.out:
         _dump_json(
@@ -125,9 +125,7 @@ def _cmd_classify(args) -> int:
                 "exoticDim": exotic,
                 "rcBasis": [list(v) for v in rc.basis.vectors],
                 "allLocal": all_local,
-                "allStandard": None
-                if std is None
-                else all(std.basis.member(v) for v in rc.basis.vectors),
+                "allStandard": all_std,
             },
             args.out,
         )
@@ -179,16 +177,21 @@ def _cmd_build_space(args) -> int:
     return 0
 
 
+def _report_all(reports, out: str | None) -> int:
+    """Print each report, write their list to out, and give the exit code."""
+    for report in reports:
+        _print_report(report)
+    if out:
+        _dump_json([r.to_json() for r in reports], out)
+    return 0 if all(r.verified for r in reports) else 1
+
+
 def _cmd_counterexamples(args) -> int:
     reports = [
         run_suite(suite, cap=args.cap, jobs=args.jobs)
         for suite in ("sym-optimality", "alt-optimality")
     ]
-    for report in reports:
-        _print_report(report)
-    if args.out:
-        _dump_json([r.to_json() for r in reports], args.out)
-    return 0 if all(r.verified for r in reports) else 1
+    return _report_all(reports, args.out)
 
 
 def _cmd_lemmas(args) -> int:
@@ -214,11 +217,7 @@ def _cmd_lemmas(args) -> int:
             "splitting-lemma",
         )
     ]
-    for report in reports:
-        _print_report(report)
-    if args.out:
-        _dump_json([r.to_json() for r in reports], args.out)
-    return 0 if all(r.verified for r in reports) else 1
+    return _report_all(reports, args.out)
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
@@ -290,10 +289,7 @@ def main(argv=None) -> int:
         if args.jobs < 1:
             raise BadParams(f"--jobs must be at least 1, got {args.jobs}")
         return args.handler(args)
-    except RCKitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (RCKitError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:

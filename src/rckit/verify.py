@@ -26,6 +26,7 @@ from .linalg import (
     Gf2Accumulator,
     Matrix,
     SubspaceBasis,
+    annihilator,
     echelonize,
     kernel_basis,
     matrix_from_rows,
@@ -188,36 +189,38 @@ def _map_cases(worker, cases, jobs: int = 1):
 # shared case predicates
 
 
-def _standard_class_case(cap: int, space: OperatorSpace) -> list[dict]:
-    target = standard_generators(space)
-    rc = rc_solution_space(space, cap=cap, target=target)
-    if rc is None:  # certified: RC is the span of the standard maps
-        return []
-    std = target.span()
-    return [
-        _failure(space, vec, "range-compatible map is not standard")
-        for vec in rc.basis.vectors
-        if not std.basis.member(vec)
-    ]
-
-
-def _local_class_case(cap: int, space: OperatorSpace) -> list[dict]:
-    target = local_generators(space)
-    rc = rc_solution_space(space, cap=cap, target=target)
-    if rc is None:  # certified: RC is the span of the local maps
-        return []
-    loc = target.span()
+def _mismatches(
+    space: OperatorSpace, found: MapSpace, expected: MapSpace, what: str, linear: str = ""
+) -> list[dict]:
+    """One failure for each basis vector of the solved space found outside
+    expected, the span of the `what` maps, then one for each basis vector
+    of expected outside found.  linear ("linear " or "") qualifies found
+    in the reasons."""
     out = [
-        _failure(space, vec, "range-compatible map is not local")
-        for vec in rc.basis.vectors
-        if not loc.basis.member(vec)
+        _failure(space, vec, f"{linear}range-compatible map is not {what}")
+        for vec in found.basis.vectors
+        if not expected.basis.member(vec)
     ]
     out.extend(
-        _failure(space, vec, "local map missing from the solution space")
-        for vec in loc.basis.vectors
-        if not rc.basis.member(vec)
+        _failure(space, vec, f"{what} map missing from the {linear}solution space")
+        for vec in expected.basis.vectors
+        if not found.basis.member(vec)
     )
     return out
+
+
+def _class_case(generators, what: str, cap: int, space: OperatorSpace) -> list[dict]:
+    target = generators(space)
+    rc = rc_solution_space(space, cap=cap, target=target)
+    if rc is None:  # certified: RC is the span of the target maps
+        return []
+    return _mismatches(space, rc, target.span(), what)
+
+
+# module-level names: the suites look them up when they run, so a test can
+# replace either one
+_standard_class_case = partial(_class_case, standard_generators, "standard")
+_local_class_case = partial(_class_case, local_generators, "local")
 
 
 # ---------------------------------------------------------------------------
@@ -580,16 +583,10 @@ def run_full_sym_class(field: FieldSpec, n: int, cap: int | None = None) -> Veri
     cap = element_cap(cap)
     t0 = time.perf_counter()
     space = build_full_sym(field, n)
-    fails: list[dict] = []
     rc = rc_solution_space(space, cap=cap)
     std = standard_space(space)
     loc = local_space(space)
-    for vec in rc.basis.vectors:
-        if not std.basis.member(vec):
-            fails.append(_failure(space, vec, "range-compatible map is not standard"))
-    for vec in std.basis.vectors:
-        if not rc.basis.member(vec):
-            fails.append(_failure(space, vec, "standard map missing from the solution space"))
+    fails = _mismatches(space, rc, std, "standard")
     extra = field.k if field.p == 2 else 0
     if std.dim != loc.dim + extra:
         fails.append(
@@ -628,17 +625,7 @@ def run_full_alt_class(field: FieldSpec, n: int, cap: int | None = None) -> Veri
     t0 = time.perf_counter()
     space = build_full_alt(field, n)
     lin_rc = linear_rc_space(rc_solution_space(space, cap=cap))
-    loc = local_space(space)
-    fails = [
-        _failure(space, vec, "linear range-compatible map is not local")
-        for vec in lin_rc.basis.vectors
-        if not loc.basis.member(vec)
-    ]
-    fails.extend(
-        _failure(space, vec, "local map missing from the linear solution space")
-        for vec in loc.basis.vectors
-        if not lin_rc.basis.member(vec)
-    )
+    fails = _mismatches(space, lin_rc, local_space(space), "local", "linear ")
     spec = SuiteSpec("full-alt-class", field=field.label, n=n, cap=cap)
     return _finish(spec, [fails], t0)
 
@@ -899,7 +886,7 @@ def _t3_class(
     t3 = build_t3(f)
     if amb.m:
         t3 = side_by_side(t3, full_space(Ambient(f, KIND_FULL, 3, amb.m)))
-    ann = kernel_basis(Matrix(f, t3.dim, amb.dim, sum(t3.basis.vectors, ())))
+    ann = annihilator(t3.basis)
     i = keys.index(pack(sum(ann.vectors, ()), (f.q - 1).bit_length()))
     members = next(c for c in classes if i in c)
     return frozenset(_case_space(amb, keys[j]).basis for j in members)

@@ -8,6 +8,7 @@ import json
 import random
 import subprocess
 import sys
+from functools import partial
 from itertools import product
 
 import pytest
@@ -34,11 +35,14 @@ from rckit.opspace import (
 )
 from rckit.rcmaps import (
     AdditiveMap,
+    MapSpace,
     element_cap,
     is_range_compatible,
     is_standard,
     local_space,
+    map_coord_width,
     map_from_coords,
+    prime_field,
     standard_space,
 )
 from rckit import verify as V
@@ -389,6 +393,71 @@ def test_full_class_suites():
         assert rep.verified, rep.failures
 
 
+def _zero_maps(space):
+    return MapSpace(space, SubspaceBasis.zero(prime_field(space), map_coord_width(space)))
+
+
+_ALT3_LOCAL = [(1, 0, 0, 0, 0, 0, 0, 0, 1), (0, 1, 0, 0, 0, 1, 0, 0, 0), (0, 0, 0, 1, 0, 0, 0, 1, 0)]
+_SYM2_DIAGONAL = [(0, 0, 0, 1, 0, 1), (0, 0, 0, 0, 1, 1)]
+
+
+@pytest.mark.parametrize(
+    "name, replacement, run, expected",
+    [
+        # the local maps in place of the standard ones: the diagonal
+        # root-linear maps are reported, then the dimension gap
+        (
+            "standard_space",
+            local_space,
+            partial(V.run_full_sym_class, F2, 2),
+            [(v, "range-compatible map is not standard") for v in _SYM2_DIAGONAL]
+            + [(None, "standard dimension 2 != local dimension 2 + 1")],
+        ),
+        # a solver that drops the diagonal maps: they are missing, and the
+        # brute-force filter finds more maps than the solved space holds
+        (
+            "rc_solution_space",
+            lambda space, cap=None, target=None: local_space(space),
+            partial(V.run_full_sym_class, F2, 2),
+            [(v, "standard map missing from the solution space") for v in _SYM2_DIAGONAL]
+            + [(None, "brute-force count 8 != p^dim 4")],
+        ),
+        (
+            "local_space",
+            _zero_maps,
+            partial(V.run_full_alt_class, F2, 3),
+            [(v, "linear range-compatible map is not local") for v in _ALT3_LOCAL],
+        ),
+        (
+            "linear_rc_space",
+            lambda rc: _zero_maps(rc.domain),
+            partial(V.run_full_alt_class, F2, 3),
+            [(v, "local map missing from the linear solution space") for v in _ALT3_LOCAL],
+        ),
+    ],
+    ids=["sym2-standard-too-small", "sym2-solution-too-small", "alt3-local-zero", "alt3-linear-zero"],
+)
+def test_full_class_suites_report_each_mismatch(monkeypatch, name, replacement, run, expected):
+    monkeypatch.setattr(V, name, replacement)
+    rep = run()
+    got = [(None if f["map"] is None else tuple(f["map"]), f["reason"]) for f in rep.failures]
+    assert got == expected
+    assert rep.cases_run == 1 and rep.passes == 0
+
+
+def test_standard_class_case_reports_standard_maps_missing_from_the_solution(monkeypatch):
+    # a solver that drops the diagonal root-linear maps of Sym(2) over F_2
+    # and cannot certify: every one of them must be reported missing
+    space = build_full_sym(F2, 2)
+    monkeypatch.setattr(
+        V, "rc_solution_space", lambda s, cap=None, target=None: local_space(s)
+    )
+    fails = V._standard_class_case(1 << 20, space)
+    assert [(tuple(f["map"]), f["reason"]) for f in fails] == [
+        (v, "standard map missing from the solution space") for v in _SYM2_DIAGONAL
+    ]
+
+
 def test_optimality_suites():
     rep = V.run_sym_optimality()
     assert rep.verified and rep.cases_run == 3
@@ -448,24 +517,18 @@ def test_failure_payload_replays():
 
 def _reference_class_case(space, standard, full_walk):
     """A class case's failures from the full walk, with no target, and the
-    canonical standard or local space built eagerly."""
+    canonical standard or local space built eagerly, compared both ways."""
     rc = full_walk(space)
-    if standard:
-        std = standard_space(space)
-        return [
-            V._failure(space, vec, "range-compatible map is not standard")
-            for vec in rc.basis.vectors
-            if not std.basis.member(vec)
-        ]
-    loc = local_space(space)
+    what = "standard" if standard else "local"
+    target = standard_space(space) if standard else local_space(space)
     out = [
-        V._failure(space, vec, "range-compatible map is not local")
+        V._failure(space, vec, f"range-compatible map is not {what}")
         for vec in rc.basis.vectors
-        if not loc.basis.member(vec)
+        if not target.basis.member(vec)
     ]
     out.extend(
-        V._failure(space, vec, "local map missing from the solution space")
-        for vec in loc.basis.vectors
+        V._failure(space, vec, f"{what} map missing from the solution space")
+        for vec in target.basis.vectors
         if not rc.basis.member(vec)
     )
     return out
