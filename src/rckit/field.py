@@ -116,29 +116,15 @@ class FieldSpec:
         # coordinate 1 at position t, which is p^t
         self.power_basis = tuple(p**t for t in range(k))
 
-        def coeffs(i: int) -> tuple[int, ...]:
-            out = []
-            for _ in range(k):
-                out.append(i % p)
-                i //= p
-            return tuple(out)
+        def times(a, b):  # the reduced product, padded to k digits
+            r = _poly_mod(_poly_mul(a, b, p), self.modulus, p)
+            return r + (0,) * (k - len(r))
 
-        def index(poly: tuple[int, ...]) -> int:
-            out = 0
-            for t in range(len(poly) - 1, -1, -1):
-                out = out * p + poly[t]
-            return out
-
-        polys = [coeffs(i) for i in range(q)]
-        self.add_table = [
-            [index(tuple((a[t] + b[t]) % p for t in range(k))) for b in polys]
-            for a in polys
-        ]
-        self.mul_table = [
-            [index(_poly_mod(_poly_mul(a, b, p), self.modulus, p)) for b in polys]
-            for a in polys
-        ]
-        self.neg_table = [index(tuple((-a[t]) % p for t in range(k))) for a in polys]
+        polys = [self.prime_coords(i) for i in range(q)]
+        index = self.from_prime_coords
+        self.add_table = [[index([x + y for x, y in zip(a, b)]) for b in polys] for a in polys]
+        self.mul_table = [[index(times(a, b)) for b in polys] for a in polys]
+        self.neg_table = [index([-x for x in a]) for a in polys]
         inv = [0] * q
         for a in range(1, q):
             row = self.mul_table[a]

@@ -22,14 +22,16 @@ of spaces here and joins and splits of maps in rcmaps go through it.
 An OperatorSpace is a linear subspace of an ambient held as a canonical
 (reduced row echelon) coordinate basis, so equality of spaces is equality of
 values.  Builders for the named spaces used by the verification suites and a
-deterministic subspace enumerator live here too.
+deterministic subspace enumerator live here too, with the one codec of the
+exhaustive suites' case keys: rref_keys lists them, annihilator_key packs
+one, and key_space decodes one into its subspace.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import chain, combinations, product
 
 from .errors import (
     AmbientMismatch,
@@ -47,6 +49,7 @@ from .linalg import (
     gaussian_binomial,
     kernel_basis,
     matrix_from_rows,
+    pack,
     unpack,
 )
 
@@ -311,6 +314,33 @@ def rref_ranges(field: FieldSpec, dim: int, pivots) -> list[list[int]]:
                 opts = [o | x << col * bits for o in opts for x in range(field.q)]
         ranges.append(opts)
     return ranges
+
+
+def rref_keys(field: FieldSpec, dim: int, pivots) -> list[int]:
+    """annihilator_key of each matrix of rref_rows, in its order, built from
+    the packed row options of rref_ranges, each moved up to its row and
+    combined by OR: no tuple row, no pack per key."""
+    width, keys = dim * (field.q - 1).bit_length(), [0]
+    for o, opts in zip(range(0, len(pivots) * width, width), rref_ranges(field, dim, pivots)):
+        opts = [r << o for r in opts] if o else opts
+        keys = [k | r for k in keys for r in opts]
+    return keys
+
+
+def annihilator_key(field: FieldSpec, rows) -> int:
+    """The case key of the subspace whose annihilator has these reduced row
+    echelon rows: the rows packed one after another, (q-1).bit_length() bits
+    per entry.  The last row is nonzero, so the key's bit length gives the
+    row count, and key 0 is the full space."""
+    return pack(chain.from_iterable(rows), (field.q - 1).bit_length())
+
+
+def key_space(amb: Ambient, key: int) -> OperatorSpace:
+    """The subspace of amb with this annihilator_key, built as
+    enumerate_subspaces builds it."""
+    d, bits = amb.dim, (amb.field.q - 1).bit_length()
+    rows = -(-key.bit_length() // (d * bits))
+    return OperatorSpace(amb, kernel_basis(Matrix(amb.field, rows, d, unpack(key, rows * d, bits))))
 
 
 def dual_rref_rows(field: FieldSpec, dim: int, rank: int):

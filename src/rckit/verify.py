@@ -28,7 +28,7 @@ from .linalg import (
     SubspaceBasis,
     annihilator,
     echelonize,
-    kernel_basis,
+    kernel_basis,  # not called: perfbench/tracer.py patches verify's name
     matrix_from_rows,
     pack,
     unpack,
@@ -39,6 +39,7 @@ from .opspace import (
     KIND_FULL,
     KIND_SYM,
     OperatorSpace,
+    annihilator_key,
     build_alt_col1,
     build_alt_2n5,
     build_alt_2n6,
@@ -54,11 +55,12 @@ from .opspace import (
     encode,
     enumerate_subspaces_up_to,  # not called: perfbench/tracer.py patches verify's name
     full_space,
+    key_space,
     projection_table,
     quotient_projection,
     restricted_part,
+    rref_keys,
     rref_ranges,
-    rref_rows,
     side_by_side,
     space_from_coords,
     space_to_json,
@@ -260,16 +262,6 @@ def _moves(amb: Ambient) -> list[tuple[Matrix, Matrix]]:
     ]
 
 
-def _case_space(amb: Ambient, key: int) -> OperatorSpace:
-    """The case keyed by key, built as enumerate_subspaces builds it.  A key
-    packs the annihilator RREF rows of a case, concatenated, with
-    (q-1).bit_length() bits per entry; the last row is nonzero, so the key's
-    bit length gives the row count, and key 0 is the full space."""
-    d, bits = amb.dim, (amb.field.q - 1).bit_length()
-    rows = -(-key.bit_length() // (d * bits))
-    return OperatorSpace(amb, kernel_basis(Matrix(amb.field, rows, d, unpack(key, rows * d, bits))))
-
-
 def _chunk_tables(f: FieldSpec, cols) -> list[tuple[int, int, list]]:
     """The map a -> sum_t a_t cols[t] on packed rows a, as one table per chunk
     of the whole entries that fit in a byte: entry b of the table at (shift
@@ -342,26 +334,11 @@ def _unit_key(f: FieldSpec, row, scale) -> int:
     return key
 
 
-def _level_keys(f: FieldSpec, d: int, c: int) -> list[int]:
-    """pack(sum(rows, ()), bits) over dual_rref_rows(f, d, c), built per pivot
-    set from the packed row options of rref_ranges, each moved up to its row
-    and combined by OR in rref_rows order: no tuple row, no pack per key."""
-    bits = (f.q - 1).bit_length()
-    keys = []
-    for pivots in combinations(range(d), c):
-        level = [0]
-        for o, opts in zip(range(0, c * d * bits, d * bits), rref_ranges(f, d, pivots)):
-            opts = [r << o for r in opts] if o else opts
-            level = [k | r for k in level for r in opts]
-        keys += level
-    return keys
-
-
 def _congruence_classes(amb: Ambient, codim: int, cap: int) -> tuple[list[int], list[list[int]]]:
     """The keys of the subspaces of amb of codimension <= codim, in
     enumeration order, and their classes under the moves as lists of
     indices into the keys, each class ascending and the classes in the order
-    of their first members.  The keys come packed from _level_keys.
+    of their first members.  The keys come packed from opspace.rref_keys.
 
     For a move M -> L M R, row u of the matrix C holds the coordinates of
     L E_u R, E_u the matrix with coordinates e_u.  An annihilator row a of S
@@ -395,7 +372,8 @@ def _congruence_classes(amb: Ambient, codim: int, cap: int) -> tuple[list[int], 
     ]
     keys, classes = [0], [[0]]
     for c in range(1, codim + 1):
-        level, start = _level_keys(f, d, c), len(keys)
+        level = [k for pivots in combinations(range(d), c) for k in rref_keys(f, d, pivots)]
+        start = len(keys)
         keys += level
         index = dict(zip(level, range(len(level))))
         pad, zero = [(0,) * (r * d) for r in range(c)], (0,) * (c * d)
@@ -425,7 +403,7 @@ def _congruence_classes(amb: Ambient, codim: int, cap: int) -> tuple[list[int], 
                     else:
                         flat = unpack(img, c * d, bits) if char2 else img
                         rows = echelonize(f, [flat[t : t + d] for t in range(0, c * d, d)], d)[0]
-                        img = pack(sum(rows, ()), bits)
+                        img = annihilator_key(f, rows)
                     b = index[img]
                     if not seen[b]:
                         seen[b] = 1
@@ -449,7 +427,7 @@ def _solve_classes(worker, parts, jobs: int, admissible=None) -> list[list[dict]
     come out in the order and form a case-by-case run gives them.  Passing
     members follow, one empty failure list each."""
     reps = [
-        (p, members, _case_space(amb, keys[members[0]]))
+        (p, members, key_space(amb, keys[members[0]]))
         for p, (amb, keys, classes) in enumerate(parts)
         for members in classes
     ]
@@ -457,7 +435,7 @@ def _solve_classes(worker, parts, jobs: int, admissible=None) -> list[list[dict]
         reps = [rep for rep in reps if admissible(rep[2])]
     first = _map_cases(worker, [s for _, _, s in reps], jobs)
     redo = sorted((p, i) for (p, members, _), fails in zip(reps, first) if fails for i in members)
-    per_case = _map_cases(worker, [_case_space(parts[p][0], parts[p][1][i]) for p, i in redo], jobs)
+    per_case = _map_cases(worker, [key_space(parts[p][0], parts[p][1][i]) for p, i in redo], jobs)
     return per_case + [[]] * (sum(len(members) for _, members, _ in reps) - len(redo))
 
 
@@ -732,10 +710,11 @@ def _rank1_candidates(field: FieldSpec, n: int):
     return rows
 
 
-def _orthogonal_masks(field: FieldSpec, cand, rows) -> dict[tuple[int, ...], int]:
-    """For each row, a bitmask whose bit t is set when candidate t is
-    orthogonal to the row."""
-    masks = {}
+def _orthogonal_masks(field: FieldSpec, cand, rows) -> dict[int, int]:
+    """For each row, keyed by the row packed as rref_ranges packs its
+    options, a bitmask whose bit t is set when candidate t is orthogonal to
+    the row."""
+    bits, masks = (field.q - 1).bit_length(), {}
     for row in rows:
         mask = 0
         for t, vec in enumerate(cand):
@@ -745,16 +724,16 @@ def _orthogonal_masks(field: FieldSpec, cand, rows) -> dict[tuple[int, ...], int
                     acc = field.add(acc, field.mul(r, v))
             if not acc:
                 mask |= 1 << t
-        masks[row] = mask
+        masks[pack(row, bits)] = mask
     return masks
 
 
-def _gap_count(field: FieldSpec, n: int, masks, ann_rows) -> int:
-    """Lines of K^n none of whose rank-one candidates lie in the subspace cut
-    out by `ann_rows`.
+def _gap_counts(field: FieldSpec, n: int, in_w: list[int]) -> list[int]:
+    """For each subspace, given by the AND of the orthogonality masks of its
+    annihilator rows (the candidates inside it), the lines of K^n none of
+    whose rank-one candidates lie in it.
 
-    ANDing the rows' orthogonality masks leaves the candidates inside the
-    subspace.  The candidates come in runs of q-1, one run per line (see
+    The candidates come in runs of q-1, one run per line (see
     `_rank1_candidates`), and a line is a gap when its whole run is clear:
     ORing the mask shifted down by 1..q-2 folds each run onto its first bit,
     and the first bits still set count the lines that are not gaps.
@@ -764,31 +743,37 @@ def _gap_count(field: FieldSpec, n: int, masks, ann_rows) -> int:
     """
     scalars = field.q - 1
     full = (1 << (field.q**n - 1)) - 1
-    in_w = full
-    for row in ann_rows:
-        in_w &= masks[row]
     hit = in_w
     for s in range(1, scalars):
-        hit |= in_w >> s
+        hit = [h | w >> s for h, w in zip(hit, in_w)]
     # full // (2^(q-1) - 1) has the first bit of every run set
-    return full.bit_length() // scalars - (hit & full // ((1 << scalars) - 1)).bit_count()
-
-
-def _rank1_case(field: FieldSpec, n: int, masks, ann_rows) -> tuple[dict, ...]:
-    """The case's failures as a tuple: a pool task returns up to 262,144
-    cases, and the empty tuple of a passing case pickles to one byte where
-    an empty list costs a memo entry each way."""
-    gaps = _gap_count(field, n, masks, ann_rows)
-    if gaps >= 2:
-        return ()
-    amb = Ambient(field, KIND_SYM, n, 0)
-    space = OperatorSpace(amb, kernel_basis(matrix_from_rows(field, ann_rows)))
-    return (_failure(space, None, f"only {gaps} gap line(s); expected at least 2"),)
+    lines, firsts = full.bit_length() // scalars, full // ((1 << scalars) - 1)
+    return [lines - (h & firsts).bit_count() for h in hit]
 
 
 def _rank1_pivot_set(field: FieldSpec, n: int, masks, pivots) -> list[tuple[dict, ...]]:
-    """The cases whose annihilator has these pivots, in rref_rows order."""
-    return [_rank1_case(field, n, masks, r) for r in rref_rows(field, n * (n + 1) // 2, pivots)]
+    """The failures of the cases whose annihilator has these pivots, in
+    rref_keys order, each as a tuple: a pool task returns up to 262,144
+    cases, and the empty tuple of a passing case pickles to one byte where
+    an empty list costs a memo entry each way.
+
+    The rows' masks are ANDed row by row over the options of rref_ranges,
+    the fold rref_keys makes, so cases that share their first rows share
+    those ANDs.  Only a set with a failing case lists its keys from
+    rref_keys, and a failing case is the key_space of its key."""
+    amb = Ambient(field, KIND_SYM, n, 0)
+    in_w = [(1 << (field.q**n - 1)) - 1]
+    for opts in rref_ranges(field, amb.dim, pivots):
+        row = [masks[r] for r in opts]
+        in_w = [w & m for w in in_w for m in row]
+    gaps = _gap_counts(field, n, in_w)
+    if min(gaps) >= 2:
+        return [()] * len(gaps)
+    reason = "only {} gap line(s); expected at least 2"
+    return [
+        () if g >= 2 else (_failure(key_space(amb, key), None, reason.format(g)),)
+        for g, key in zip(gaps, rref_keys(field, amb.dim, pivots))
+    ]
 
 
 def _free_entries(d: int, pivots) -> int:
@@ -808,7 +793,7 @@ def run_rank1_gaps(
     The orthogonality of each candidate c x x^T to each row with leading
     entry 1, as every annihilator row has, is computed once, here, as one
     bitmask per row; the cases then only AND the masks of their rows.  Each
-    pool task is one pivot set and returns its cases in rref_rows order.
+    pool task is one pivot set and returns its cases in rref_keys order.
     The sets are sent largest first, so the one set that holds nearly half
     of the cases does not wait behind the others, and their results are put
     back in dual_rref_rows order before they are flattened."""
@@ -887,9 +872,9 @@ def _t3_class(
     if amb.m:
         t3 = side_by_side(t3, full_space(Ambient(f, KIND_FULL, 3, amb.m)))
     ann = annihilator(t3.basis)
-    i = keys.index(pack(sum(ann.vectors, ()), (f.q - 1).bit_length()))
+    i = keys.index(annihilator_key(f, ann.vectors))
     members = next(c for c in classes if i in c)
-    return frozenset(_case_space(amb, keys[j]).basis for j in members)
+    return frozenset(key_space(amb, keys[j]).basis for j in members)
 
 
 def _good_functional_case(orbits, space: OperatorSpace) -> list[dict]:

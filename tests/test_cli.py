@@ -89,7 +89,9 @@ def test_zero_jobs_exit_2_before_any_work(argv, monkeypatch, capsys):
     def refuse(*args, **kwargs):
         raise AssertionError("suite work started before --jobs was checked")
 
-    for attr in ("enumerate_subspaces_up_to", "dual_rref_rows", "rc_solution_space"):
+    # the class suites start by keying, every pooled suite by dispatching,
+    # and the full-space suites by solving
+    for attr in ("_congruence_classes", "_map_cases", "rc_solution_space"):
         monkeypatch.setattr(verify, attr, refuse)
     assert main(argv + ["--jobs", "0"]) == 2
     assert "--jobs" in capsys.readouterr().err

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import time
 from functools import lru_cache, partial
-from itertools import product
+from itertools import combinations, product
 from operator import xor
 
 import pytest
@@ -31,12 +31,16 @@ from rckit.opspace import (
     KIND_ALT,
     KIND_FULL,
     KIND_SYM,
+    annihilator_key,
     count_subspaces,
     decode,
     dual_rref_rows,
     encode,
     enumerate_subspaces_up_to,
+    key_space,
     restricted_part,
+    rref_keys,
+    rref_rows,
     space_from_matrices,
 )
 from rckit.rcmaps import element_cap
@@ -140,13 +144,15 @@ PARTITION_IDS = [
 
 
 @pytest.mark.parametrize("amb, codim", PARTITIONS, ids=PARTITION_IDS)
-def test_every_union_edge_is_a_congruence(amb, codim):
+def test_every_move_image_is_a_congruence(amb, codim):
     # the image key of S under the move M -> L M R is the annihilator of
     # L^-1 S R^-1, so L M R maps the image's space back onto S; on sym and
     # alt that is congruent(image, Q) with L = Q^T
     keys, classes = V._congruence_classes(amb, codim, 1 << 20)
-    spaces = [V._case_space(amb, k) for k in keys]
+    spaces = [key_space(amb, k) for k in keys]
     assert spaces == list(enumerate_subspaces_up_to(amb, codim))
+    # and the codec round-trips every key through its space's annihilator
+    assert [annihilator_key(amb.field, annihilator(s.basis).vectors) for s in spaces] == keys
     index = {k: i for i, k in enumerate(keys)}
     cls = {i: c for c, members in enumerate(classes) for i in members}
     moves = V._moves(amb)
@@ -164,7 +170,7 @@ def test_class_sizes_sum_to_the_subspace_counts(amb, codim):
     assert [members[0] for members in classes] == sorted(members[0] for members in classes)
     per_codim = [0] * (codim + 1)
     for members in classes:
-        dims = {V._case_space(amb, keys[i]).codim for i in members}
+        dims = {key_space(amb, keys[i]).codim for i in members}
         assert len(dims) == 1 and members == sorted(members)
         per_codim[dims.pop()] += len(members)
     assert per_codim == [count_subspaces(amb, c) for c in range(codim + 1)]
@@ -199,13 +205,18 @@ def test_case_space_round_trips_every_key(amb):
     # the row count comes from the key's bit length: key 0 is the full space
     f, d = amb.field, amb.dim
     keys = _case_keys(f, d, 2)
-    assert keys[0] == 0 and V._case_space(amb, 0).codim == 0
+    assert keys[0] == 0 and key_space(amb, 0).codim == 0
     assert len(set(keys)) == len(keys)
     for c in range(3):
-        for rows in dual_rref_rows(f, d, c):
-            space = V._case_space(amb, pack(sum(rows, ()), (f.q - 1).bit_length()))
-            assert space.codim == c
-            assert annihilator(space.basis).vectors == rows
+        for pivots in combinations(range(d), c):
+            rows = list(rref_rows(f, d, pivots))
+            assert rref_keys(f, d, pivots) == [annihilator_key(f, r) for r in rows]
+            for r in rows:
+                key = annihilator_key(f, r)
+                assert key == pack(sum(r, ()), (f.q - 1).bit_length())
+                space = key_space(amb, key)
+                assert space.codim == c
+                assert annihilator(space.basis).vectors == r
 
 
 def _reference_image_keys(amb):
@@ -409,9 +420,9 @@ def test_classes_are_the_whole_congruence_orbits(amb, classes):
     group = _general_linear(amb.field, amb.n)
     assert len(got) == classes
     for members in got:
-        rep = V._case_space(amb, keys[members[0]])
+        rep = key_space(amb, keys[members[0]])
         orbit = {congruent(rep, q).basis for q in group}
-        assert orbit == {V._case_space(amb, keys[i]).basis for i in members}
+        assert orbit == {key_space(amb, keys[i]).basis for i in members}
 
 
 @pytest.mark.parametrize(

@@ -8,14 +8,22 @@ import json
 import random
 import subprocess
 import sys
-from functools import partial
+from functools import partial, reduce
 from itertools import product
+from operator import and_
 
 import pytest
 
 from rckit.errors import BadParams
 from rckit.field import make_field
-from rckit.linalg import Matrix, SubspaceBasis, gaussian_binomial, kernel_basis, matrix_from_rows
+from rckit.linalg import (
+    Matrix,
+    SubspaceBasis,
+    gaussian_binomial,
+    kernel_basis,
+    matrix_from_rows,
+    pack,
+)
 from rckit.opspace import (
     Ambient,
     KIND_ALT,
@@ -29,7 +37,9 @@ from rckit.opspace import (
     encode,
     enumerate_subspaces_up_to,
     full_space,
+    key_space,
     quotient_projection,
+    rref_keys,
     side_by_side,
     space_from_json,
 )
@@ -618,18 +628,45 @@ def test_rank1_gap_masks_match_kernel_membership():
         (F3, [_random_rref(F3, d, rng) for _ in range(300)]),
         (F4, [_random_rref(F4, d, rng) for _ in range(300)]),
     ):
-        # as run_rank1_gaps builds them: one mask per row with leading entry 1
+        # as run_rank1_gaps builds them: one mask per row with leading entry
+        # 1, keyed by the packed row; a case ANDs the masks of its rows
         masks = V._orthogonal_masks(field, V._rank1_candidates(field, 3), V.line_reps(field, d))
-        for rows in cases:
-            assert V._gap_count(field, 3, masks, rows) == _slow_gap_count(field, 3, rows)
+        bits = (field.q - 1).bit_length()
+        in_w = [reduce(and_, [masks[pack(r, bits)] for r in rows]) for rows in cases]
+        assert V._gap_counts(field, 3, in_w) == [_slow_gap_count(field, 3, rows) for rows in cases]
 
 
 def test_rank1_case_reports_a_space_without_gaps():
-    zero = (0,) * 6
-    masks = V._orthogonal_masks(F3, V._rank1_candidates(F3, 3), [zero])
-    fails = V._rank1_case(F3, 3, masks, (zero,))
-    assert [f["reason"] for f in fails] == ["only 0 gap line(s); expected at least 2"]
-    assert space_from_json(fails[0]["space"]).codim == 0
+    # a zero candidate lies in every subspace: with only zero candidates,
+    # each case of the pivot set (0,) fails as the space of its key
+    amb = Ambient(F3, KIND_SYM, 3, 0)
+    zeros = [(0,) * 6] * len(V._rank1_candidates(F3, 3))
+    masks = V._orthogonal_masks(F3, zeros, V.line_reps(F3, 6))
+    cases = V._rank1_pivot_set(F3, 3, masks, (0,))
+    assert len(cases) == 3**5
+    for fails, key in zip(cases, rref_keys(F3, 6, (0,))):
+        assert [f["reason"] for f in fails] == ["only 0 gap line(s); expected at least 2"]
+        space = key_space(amb, key)
+        assert space_from_json(fails[0]["space"]) == space and space.codim == 1
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_rank1_failures_follow_the_case_by_case_order(jobs, monkeypatch):
+    # zero candidates lie in every subspace, so no line is a gap and every
+    # case fails; the failures must be those of a case-by-case run over
+    # dual_rref_rows, space for space and in its order
+    amb = Ambient(F2, KIND_SYM, 3, 0)
+    d, ncand = amb.dim, len(V._rank1_candidates(F2, 3))
+    monkeypatch.setattr(V, "_rank1_candidates", lambda field, n: [(0,) * d] * ncand)
+    rep = V.run_rank1_gaps(F2, 3, jobs=jobs)
+    want = [
+        V._failure(OperatorSpace(amb, kernel_basis(matrix_from_rows(F2, rows))), None,
+                   "only 0 gap line(s); expected at least 2")
+        for c in range(1, d + 1)
+        for rows in dual_rref_rows(F2, d, c)
+    ]
+    assert rep.cases_run == 2824 and rep.passes == 0
+    assert list(rep.failures) == want
 
 
 def test_cli_import_leaves_numpy_unloaded():
