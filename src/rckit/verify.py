@@ -5,7 +5,8 @@ decides the claimed property on every case with the exact solvers from
 `rcmaps`, and returns a VerificationReport.  For a fixed suite spec the
 JSON form of the report is byte-for-byte reproducible, independent of the
 worker count: case lists are materialised in a canonical order before any
-work is dispatched, and `Pool.map` preserves that order.
+work is dispatched, and `_map_cases` returns results in that order whether
+it runs the cases in process or through `Pool.map`.
 """
 
 from __future__ import annotations
@@ -165,25 +166,24 @@ def _finish(spec: SuiteSpec, per_case, t0: float) -> VerificationReport:
 
 def _pool_size(jobs: int, ncases: int) -> int:
     """Worker processes for `ncases` cases at `--jobs jobs`: never more than
-    the CPUs or the cases.  At most 1 means run the cases in this process."""
+    the CPUs, and only as many as get at least 64 cases each, below which a
+    fork and its pickled results cost more than the cases.  At most 1 means
+    run the cases in this process."""
     if jobs < 1:
         raise BadParams(f"--jobs must be at least 1, got {jobs}")
-    return min(jobs, os.cpu_count() or 1, ncases)
+    return min(jobs, os.cpu_count() or 1, ncases // 64)
 
 
 def _map_cases(worker, cases, jobs: int = 1):
-    """worker on every case, in case order, run in a pool of forked workers
-    when jobs allows.  Up to 64 cases per worker go one to a task, so that a
-    few uneven cases (the pivot sets of rank1-gaps, the class
-    representatives) go to whichever worker is free; more go in about eight
-    chunks per worker, which keeps the per-task cost small beside the work."""
+    """worker on every case, in case order: in a pool of forked workers when
+    _pool_size gives more than one, the cases in about eight chunks per
+    worker, which keeps the per-task cost small beside the work; otherwise
+    in this process, one case after another."""
     cases = list(cases)
     workers = _pool_size(jobs, len(cases))
     if workers > 1:
-        ctx = get_context("fork")
-        with ctx.Pool(processes=workers) as pool:
-            chunk = 1 if len(cases) <= 64 * workers else len(cases) // (workers * 8)
-            return pool.map(worker, cases, chunksize=chunk)
+        with get_context("fork").Pool(processes=workers) as pool:
+            return pool.map(worker, cases, chunksize=len(cases) // (workers * 8))
     return [worker(c) for c in cases]
 
 
@@ -753,9 +753,8 @@ def _gap_counts(field: FieldSpec, n: int, in_w: list[int]) -> list[int]:
 
 def _rank1_pivot_set(field: FieldSpec, n: int, masks, pivots) -> list[tuple[dict, ...]]:
     """The failures of the cases whose annihilator has these pivots, in
-    rref_keys order, each as a tuple: a pool task returns up to 262,144
-    cases, and the empty tuple of a passing case pickles to one byte where
-    an empty list costs a memo entry each way.
+    rref_keys order, each as a tuple, so every passing case is the one
+    shared empty tuple.
 
     The rows' masks are ANDed row by row over the options of rref_ranges,
     the fold rref_keys makes, so cases that share their first rows share
@@ -776,13 +775,6 @@ def _rank1_pivot_set(field: FieldSpec, n: int, masks, pivots) -> list[tuple[dict
     ]
 
 
-def _free_entries(d: int, pivots) -> int:
-    """The free entries of a reduced row echelon matrix over K^d with these
-    pivot columns, those right of a row's pivot in a column that is no
-    pivot: q to this power matrices have these pivots."""
-    return sum(1 for p in pivots for col in range(p + 1, d) if col not in pivots)
-
-
 def run_rank1_gaps(
     field: FieldSpec, n: int = 3, cap: int | None = None, jobs: int = 1
 ) -> VerificationReport:
@@ -793,10 +785,9 @@ def run_rank1_gaps(
     The orthogonality of each candidate c x x^T to each row with leading
     entry 1, as every annihilator row has, is computed once, here, as one
     bitmask per row; the cases then only AND the masks of their rows.  Each
-    pool task is one pivot set and returns its cases in rref_keys order.
-    The sets are sent largest first, so the one set that holds nearly half
-    of the cases does not wait behind the others, and their results are put
-    back in dual_rref_rows order before they are flattened."""
+    pivot set is one case of _map_cases and returns its cases in rref_keys
+    order, and the sets go in dual_rref_rows order, so the flattened cases
+    follow it.  Sym_3 has 63 pivot sets, too few for _map_cases to fork."""
     if n < 3:
         raise BadParams("the rank-one gap property needs n >= 3")
     cap = element_cap(cap)
@@ -808,10 +799,7 @@ def run_rank1_gaps(
         raise EnumerationCapExceeded(f"{total} proper subspaces exceeds cap {cap}")
     masks = _orthogonal_masks(field, _rank1_candidates(field, n), line_reps(field, d))
     pivot_sets = [pivots for c in range(1, d + 1) for pivots in combinations(range(d), c)]
-    order = sorted(range(len(pivot_sets)), key=lambda i: -_free_entries(d, pivot_sets[i]))
-    worker = partial(_rank1_pivot_set, field, n, masks)
-    results = _map_cases(worker, [pivot_sets[i] for i in order], jobs)
-    per_set = [cases for _, cases in sorted(zip(order, results))]
+    per_set = _map_cases(partial(_rank1_pivot_set, field, n, masks), pivot_sets, jobs)
     spec = SuiteSpec("rank1-gaps", field=field.label, n=n, cap=cap)
     return _finish(spec, [fails for cases in per_set for fails in cases], t0)
 

@@ -578,8 +578,8 @@ def test_failing_good_functional_classes_report_every_member(monkeypatch, field,
 
 
 def test_good_functionals_dispatch_every_representative_at_once(monkeypatch):
-    # one _map_cases call for the 21 classes of both ambients, so --jobs
-    # forks one pool, then an empty one for the members of failing classes
+    # one _map_cases call for the 21 classes of both ambients, then an empty
+    # one for the members of failing classes, so --jobs forks at most once
     sizes = []
     map_cases = V._map_cases
 

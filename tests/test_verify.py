@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import random
 import subprocess
 import sys
@@ -488,18 +489,58 @@ def test_determinism_across_worker_counts():
     assert strip_time(g1) == strip_time(g2)
 
 
-def test_pool_size_clamps_to_cpus_and_cases(monkeypatch):
+def test_determinism_through_the_pool(monkeypatch):
+    # the comparisons above hand _map_cases too few cases to fork; 200
+    # trials at jobs=2 give two workers 100 cases each
     monkeypatch.setattr(V.os, "cpu_count", lambda: 2)
-    assert V._pool_size(1, 100) == 1
-    assert V._pool_size(2, 100) == 2
-    assert V._pool_size(8, 100) == 2
-    assert V._pool_size(8, 1) == 1
+    forks = []
+    real_get_context = V.get_context
+
+    def spy(method):
+        forks.append(method)
+        return real_get_context(method)
+
+    monkeypatch.setattr(V, "get_context", spy)
+    serial = V.run_splitting_property(trials=200, seed=9, jobs=1)
+    assert forks == []
+    parallel = V.run_splitting_property(trials=200, seed=9, jobs=2)
+    assert forks == ["fork"]
+    assert serial.cases_run == 200
+    assert strip_time(serial) == strip_time(parallel)
+
+
+def test_pool_size_clamps_to_cpus_and_cases(monkeypatch):
+    # a worker is forked only for every 64 cases
+    monkeypatch.setattr(V.os, "cpu_count", lambda: 2)
+    assert V._pool_size(2, 127) == 1
+    assert V._pool_size(2, 128) == 2
+    assert V._pool_size(1, 1000) == 1
+    assert V._pool_size(8, 1000) == 2
     assert V._pool_size(2, 0) == 0
     monkeypatch.setattr(V.os, "cpu_count", lambda: 16)
-    assert V._pool_size(8, 3) == 3
-    assert V._pool_size(8, 100) == 8
+    assert V._pool_size(8, 300) == 4
+    assert V._pool_size(8, 1000) == 8
     monkeypatch.setattr(V.os, "cpu_count", lambda: None)
-    assert V._pool_size(8, 100) == 1
+    assert V._pool_size(8, 1000) == 1
+
+
+def _case_and_pid(case):
+    return case, os.getpid()
+
+
+def test_map_cases_forks_only_for_64_cases_per_worker(monkeypatch):
+    monkeypatch.setattr(V.os, "cpu_count", lambda: 2)
+
+    def no_fork(method):
+        raise AssertionError("forked for fewer than 64 cases per worker")
+
+    with monkeypatch.context() as m:
+        m.setattr(V, "get_context", no_fork)
+        out = V._map_cases(_case_and_pid, range(127), jobs=2)
+    assert out == [(c, os.getpid()) for c in range(127)]
+    out = V._map_cases(_case_and_pid, range(130), jobs=2)
+    assert [c for c, _ in out] == list(range(130))
+    assert os.getpid() not in {pid for _, pid in out}
 
 
 @pytest.mark.parametrize("jobs", [0, -3])
