@@ -1002,36 +1002,14 @@ def _element_value_sets(space: OperatorSpace):
 
 
 def _naive_rc_maps_generic(space: OperatorSpace):
-    f = space.ambient.field
-    p, k = f.p, f.k
-    n = space.ambient.nrows
-    d = space.dim * k
-    width = map_coord_width(space)
+    """Filter all p^width maps, each built by map_from_coords and evaluated
+    at every nonzero element by evaluate_at_coeffs."""
     elements = _element_value_sets(space)
     accepted = []
-    for coords in product(range(p), repeat=width):
-        f_map = None
-        values = []
-        pos = 0
-        for _ in range(d):
-            row = []
-            for _ in range(n):
-                row.append(f.from_prime_coords(tuple(coords[pos : pos + k])))
-                pos += k
-            values.append(tuple(row))
-        ok = True
-        for coeffs, valid in elements:
-            acc = [0] * n
-            for c, val in zip(coeffs, values):
-                if c:
-                    for i in range(n):
-                        if val[i]:
-                            acc[i] = f.add(acc[i], f.mul(c, val[i]))
-            if tuple(acc) not in valid:
-                ok = False
-                break
-        if ok:
-            accepted.append(tuple(coords))
+    for coords in product(range(space.ambient.field.p), repeat=map_coord_width(space)):
+        f_map = map_from_coords(space, coords)
+        if all(evaluate_at_coeffs(f_map, coeffs) in valid for coeffs, valid in elements):
+            accepted.append(coords)
     return accepted
 
 

@@ -18,21 +18,17 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import combinations, product
 from multiprocessing import get_context
-from operator import xor
 
 from . import __version__
+from .action import move_images
 from .errors import BadParams, EnumerationCapExceeded, IllDefined
 from .field import FieldSpec, parse_field_label
 from .linalg import (
-    Gf2Accumulator,
     Matrix,
     SubspaceBasis,
     annihilator,
-    echelonize,
     kernel_basis,  # not called: perfbench/tracer.py patches verify's name
-    matrix_from_rows,
     pack,
-    unpack,
 )
 from .opspace import (
     Ambient,
@@ -51,7 +47,7 @@ from .opspace import (
     build_t3,
     build_u2_block,
     count_subspaces,
-    decode,
+    decode,  # not called: perfbench/tracer.py patches verify's name
     dual_rref_rows,  # not called: perfbench/tracer.py patches verify's name
     encode,
     enumerate_subspaces_up_to,  # not called: perfbench/tracer.py patches verify's name
@@ -229,131 +225,18 @@ _local_class_case = partial(_class_case, local_generators, "local")
 # congruence classes of the class-suite cases
 
 
-def _gl_generators(f: FieldSpec, k: int) -> list[list[list[int]]]:
-    """The rows of I + E_01 and of the k-cycle (k >= 2) and of
-    diag(w, 1, ..., 1) for a primitive w (q > 2), which generate GL_k(K)."""
-    eye = [[int(i == j) for j in range(k)] for i in range(k)]
-    gens = [[[1, 1] + eye[0][2:]] + eye[1:], eye[1:] + eye[:1]] if k >= 2 else []
-    if f.q > 2 and k:
-        for w in range(2, f.q):
-            x, order = w, 1
-            while x != 1:
-                x, order = f.mul(x, w), order + 1
-            if order == f.q - 1:
-                gens.append([[w] + eye[0][1:]] + eye[1:])
-                break
-    return gens
-
-
-def _moves(amb: Ambient) -> list[tuple[Matrix, Matrix]]:
-    """The pairs (L, R) of the moves M -> L M R whose orbits
-    _congruence_classes finds: (Q^T, diag(Q, I_m)) on sym and alt, (P, I_m)
-    and (I_n, Q) on rectangles, for P and Q from _gl_generators."""
-    f, n, m = amb.field, amb.n, amb.m
-    eye = lambda k: SubspaceBasis.full(f, k).vectors
-    if amb.kind == KIND_FULL:
-        rows = [(matrix_from_rows(f, p), matrix_from_rows(f, eye(m))) for p in _gl_generators(f, n)]
-        cols = [(matrix_from_rows(f, eye(n)), matrix_from_rows(f, q)) for q in _gl_generators(f, m)]
-        return rows + cols
-    pad = [[0] * n + list(e) for e in eye(m)]
-    return [
-        (matrix_from_rows(f, q).transpose(), matrix_from_rows(f, [r + [0] * m for r in q] + pad))
-        for q in _gl_generators(f, n)
-    ]
-
-
-def _chunk_tables(f: FieldSpec, cols) -> list[tuple[int, int, list]]:
-    """The map a -> sum_t a_t cols[t] on packed rows a, as one table per chunk
-    of the whole entries that fit in a byte: entry b of the table at (shift
-    s, mask m) is the sum of a_t cols[t] over the entries a_t packed in b
-    (None where one is not a field element), and a's image is the sum of
-    table[a >> s & m] over the chunks.  Images are packed rows added by XOR
-    in characteristic 2, where an element's index is its polynomial's bits,
-    and tuples added through add_table in odd characteristic."""
-    bits = (f.q - 1).bit_length()
-    add, mul = f.add_table, f.mul_table
-    if f.p == 2:
-        zero, plus = 0, xor
-        scale = lambda x, col: pack([mul[x][c] for c in col], bits)
-    else:
-        zero, plus = (0,) * len(cols[0]), lambda u, v: tuple([add[a][b] for a, b in zip(u, v)])
-        scale = lambda x, col: tuple([mul[x][c] for c in col])
-    per = max(1, 8 // bits)
-    out = []
-    for t in range(0, len(cols), per):
-        tab = [zero]
-        for col in cols[t : t + per]:
-            step = [scale(x, col) for x in range(f.q)] + [None] * ((1 << bits) - f.q)
-            tab = [None if x is None or b is None else plus(b, x) for x in step for b in tab]
-        out.append((t * bits, len(tab) - 1, tab))
-    return out
-
-
-def _gf2_key(img: int, rows: int, width: int) -> int:
-    """The key of the span of `rows` independent F_2 rows of `width` bits,
-    packed one after another in img: reduced, ordered by their lowest-bit
-    pivots and packed as Gf2Accumulator.rows_pivots and pack give them."""
-    full = (1 << width) - 1
-    if rows == 2:  # reduce on the lower pivot bit, then order the rows
-        x, y = img & full, img >> width
-        if x & -x == y & -y:
-            y ^= x
-        elif y & -y < x & -x:
-            x, y = y, x
-        if x & (y & -y):
-            x ^= y
-        return x | y << width
-    acc = Gf2Accumulator(width)
-    for o in range(0, rows * width, width):
-        acc.add(img >> o & full)
-    return pack(acc.rows_pivots()[0], width)
-
-
-def _scale_tables(f: FieldSpec, d: int) -> list:
-    """scale[x] multiplies a row of K^d by x: the _chunk_tables of x I on
-    packed rows in characteristic 2, and mul_table[x] entry by entry on
-    tuple rows in odd characteristic."""
-    if f.p != 2:
-        return f.mul_table
-    units = SubspaceBasis.full(f, d).vectors
-    return [_chunk_tables(f, [tuple(x * v for v in e) for e in units]) for x in range(f.q)]
-
-
-def _unit_key(f: FieldSpec, row, scale) -> int:
-    """The key of the line through a nonzero row of K^d (packed in
-    characteristic 2, a tuple in odd): the row times the inverse of its
-    leading entry, through scale = _scale_tables(f, d)."""
-    bits = (f.q - 1).bit_length()
-    if f.p != 2:
-        times = scale[f.inv_table[next(filter(None, row))]]
-        return pack([times[x] for x in row], bits)
-    low = (row & -row).bit_length() - 1
-    key = 0
-    for s, m, tab in scale[f.inv_table[row >> low - low % bits & (1 << bits) - 1]]:
-        key ^= tab[row >> s & m]
-    return key
-
-
 def _congruence_classes(amb: Ambient, codim: int, cap: int) -> tuple[list[int], list[list[int]]]:
     """The keys of the subspaces of amb of codimension <= codim, in
-    enumeration order, and their classes under the moves as lists of
-    indices into the keys, each class ascending and the classes in the order
-    of their first members.  The keys come packed from opspace.rref_keys.
+    enumeration order, and their classes under the moves of action._moves as
+    lists of indices into the keys, each class ascending and the classes in
+    the order of their first members.  The keys come packed from
+    opspace.rref_keys.
 
-    For a move M -> L M R, row u of the matrix C holds the coordinates of
-    L E_u R, E_u the matrix with coordinates e_u.  An annihilator row a of S
-    goes to C.mat_vec(a) = sum_t a_t C e_t, the functional M -> a(L M R), so
-    the images of the rows span the annihilator of L^-1 S R^-1, and the key
-    of that span is the image key.  Moves keep the codimension, so each
-    level (row count c) is searched on its own, through the _chunk_tables of
-    diag(C, ..., C): one lookup per chunk of a key gives all its image rows
-    in place.  The image key is their echelon form: over F_2 one row is its
-    own and more go through _gf2_key; over q > 2 one row goes through
-    _unit_key and more through echelonize.
-
-    Each class is a breadth-first orbit search from the first key of the
-    level not yet seen, which images every member under every move and
-    appends the images not yet seen.  Every move is invertible and the moves
+    Moves keep the codimension, so each level (row count c) is searched on
+    its own, with the images of action.move_images(amb, c).  Each class is a
+    breadth-first orbit search from the first key of the level not yet seen,
+    which images every member under every move and appends the images not
+    yet seen.  Every move is invertible and the moves
     generate a finite group, so the inverse of each is a power of it, and
     the forward closure of a key under the moves is its whole orbit.  The
     search starts from the smallest unseen index, so every member is at
@@ -363,47 +246,20 @@ def _congruence_classes(amb: Ambient, codim: int, cap: int) -> tuple[list[int], 
     if total > cap:
         raise EnumerationCapExceeded(f"{total} subspaces exceeds cap {cap}")
     f, d = amb.field, amb.dim
-    q, bits, add = f.q, (f.q - 1).bit_length(), f.add_table
-    width, char2, scale = d * bits, f.p == 2, _scale_tables(f, d) if q > 2 else None
-    units = SubspaceBasis.full(f, d).vectors
-    cols = [  # the columns C e_t of each move
-        list(zip(*[encode(amb, left.matmul(decode(amb, e)).matmul(right)) for e in units]))
-        for left, right in _moves(amb)
-    ]
     keys, classes = [0], [[0]]
     for c in range(1, codim + 1):
         level = [k for pivots in combinations(range(d), c) for k in rref_keys(f, d, pivots)]
         start = len(keys)
         keys += level
         index = dict(zip(level, range(len(level))))
-        pad, zero = [(0,) * (r * d) for r in range(c)], (0,) * (c * d)
-        diag = [[z + col + pad[c - 1 - r] for r, z in enumerate(pad) for col in mc] for mc in cols]
-        moves = [_chunk_tables(f, blocks) for blocks in diag]
+        images = move_images(amb, c)
         seen = bytearray(len(level))
         for i in range(len(level)):
             if seen[i]:
                 continue
             seen[i], orbit = 1, [i]
             for j in orbit:  # grows as the search meets unseen images
-                key = level[j]
-                for move in moves:
-                    if char2:
-                        img = 0
-                        for s, m, tab in move:
-                            img ^= tab[key >> s & m]
-                    else:
-                        img = zero
-                        for s, m, tab in move:
-                            img = tuple([add[u][v] for u, v in zip(img, tab[key >> s & m])])
-                    if q == 2:
-                        if c > 1:
-                            img = _gf2_key(img, c, width)
-                    elif c == 1:
-                        img = _unit_key(f, img, scale)
-                    else:
-                        flat = unpack(img, c * d, bits) if char2 else img
-                        rows = echelonize(f, [flat[t : t + d] for t in range(0, c * d, d)], d)[0]
-                        img = annihilator_key(f, rows)
+                for img in images(level[j]):
                     b = index[img]
                     if not seen[b]:
                         seen[b] = 1
@@ -454,15 +310,15 @@ def _run_class_suite(
     _solve_classes.
 
     _congruence_classes finds the orbits of the cases under the moves
-    M -> L M R of _moves: [A | R] -> [Q^T A Q | Q^T R] on sym and alt,
-    s -> P s and s -> s Q on rectangles, with Q and P each I + E_01, the
-    cycle, or (q > 2) diag(w, 1, ..., 1).  It builds the case keys packed,
-    pivot set by pivot set, and grows each orbit breadth first from its
-    smallest unseen key, imaging every member once per move: a few
-    chunk-table lookups, then the image's canonical key on ints (F_2) or by
-    one scaling of a single row (q > 2), with no tuple round trip.  The
-    moves are invertible and generate a finite group, so the inverse of
-    each is a power of it and the forward search reaches the whole orbit.
+    M -> L M R of action._moves: [A | R] -> [Q^T A Q | Q^T R] on sym and
+    alt, s -> P s and s -> s Q on rectangles, with Q and P each I + E_01,
+    the cycle, or (q > 2) diag(w, 1, ..., 1).  It builds the case keys
+    packed, pivot set by pivot set, and grows each orbit breadth first from
+    its smallest unseen key, imaging every member once per move through
+    action.move_images, which keeps a key packed from lookup to canonical
+    image key.  The moves are invertible and generate a finite group, so the
+    inverse of each is a power of it and the forward search reaches the
+    whole orbit.
 
     Soundness.  For invertible Q and S' = {Q^T M D : M in S}, D = diag(Q, I_m),
     F -> F' with F'(Q^T M D) = Q^T F(M) is a bijection between the additive
@@ -898,7 +754,7 @@ def run_good_functionals(
     onto those of S' and every quotient keeps its dimension (D is
     invertible).  The good-line count and the overflow count are therefore
     the same across a class.  Over GF(2) the moves are Q = I + E_01 and the
-    3-cycle (_gl_generators(F_2, 3)): conjugating I + E_01 by the 3-cycle
+    3-cycle (action._gl_generators(F_2, 3)): conjugating I + E_01 by the 3-cycle
     gives I + E_12 and I + E_20, their commutators give the other three
     elementary transvections, and these generate SL_3(F_2) = GL_3(F_2); in
     a finite group the inverses are powers, so a class is a whole

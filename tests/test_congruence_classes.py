@@ -9,10 +9,10 @@ from __future__ import annotations
 import time
 from functools import lru_cache, partial
 from itertools import combinations, product
-from operator import xor
 
 import pytest
 
+from rckit import action
 from rckit import verify as V
 from rckit.cli import main
 from rckit.errors import BadParams, EnumerationCapExceeded
@@ -155,8 +155,8 @@ def test_every_move_image_is_a_congruence(amb, codim):
     assert [annihilator_key(amb.field, annihilator(s.basis).vectors) for s in spaces] == keys
     index = {k: i for i, k in enumerate(keys)}
     cls = {i: c for c, members in enumerate(classes) for i in members}
-    moves = V._moves(amb)
-    images = _image_keys(amb)
+    moves = action._moves(amb)
+    images = _reference_image_keys(amb)
     for i, key in enumerate(keys):
         for (left, right), image in zip(moves, images(key)):
             assert _move_image(amb, left, right, spaces[index[image]]) == spaces[i]
@@ -220,14 +220,14 @@ def test_case_space_round_trips_every_key(amb):
 
 
 def _reference_image_keys(amb):
-    """The reference for V._image_keys: one C.mat_vec per annihilator row
+    """The reference for action.move_images: one C.mat_vec per annihilator row
     and echelonize, and over F_2 the per-bit XOR of the packed columns of C
     into a Gf2Accumulator."""
     f, d = amb.field, amb.dim
     units = SubspaceBasis.full(f, d).vectors
     tables = [
         matrix_from_rows(f, [encode(amb, left.matmul(decode(amb, e)).matmul(right)) for e in units])
-        for left, right in V._moves(amb)
+        for left, right in action._moves(amb)
     ]
     if f.q != 2:
         bits = (f.q - 1).bit_length()
@@ -257,71 +257,9 @@ def _reference_image_keys(amb):
     return images
 
 
-def _image_keys(amb):
-    """The function taking a case's key to the keys of its images under
-    V._moves(amb), in that order: the image step of V._congruence_classes
-    before it imaged packed keys inline, kept as its reference.
-
-    For a move M -> L M R, row u of the matrix C holds the coordinates of
-    L E_u R, and an annihilator row a goes to C.mat_vec(a).  The columns
-    C e_t are read into one table per move and chunk of the whole entries
-    that fit in a byte (None where an entry is not a field element), so a
-    packed row's image is a sum of one lookup per chunk: packed rows added
-    by XOR in characteristic 2, tuples added through add_table otherwise.
-    The image key is the echelon form of the image rows, packed."""
-    f, d = amb.field, amb.dim
-    bits = (f.q - 1).bit_length()
-    add, mul = f.add_table, f.mul_table
-    if f.p == 2:
-        zero, plus = 0, xor
-        scale = lambda x, col: pack([mul[x][c] for c in col], bits)
-    else:
-        zero, plus = (0,) * d, lambda u, v: tuple([add[a][b] for a, b in zip(u, v)])
-        scale = lambda x, col: tuple([mul[x][c] for c in col])
-    units = SubspaceBasis.full(f, d).vectors
-    per = max(1, 8 // bits)
-    tables = []
-    for left, right in V._moves(amb):
-        c = matrix_from_rows(f, [encode(amb, left.matmul(decode(amb, e)).matmul(right)) for e in units])
-        move = []
-        for t in range(0, d, per):
-            tab = [zero]
-            for u in range(t, min(t + per, d)):
-                col = c.col_tuple(u)
-                step = [scale(x, col) for x in range(f.q)] + [None] * ((1 << bits) - f.q)
-                tab = [None if x is None or b is None else plus(b, x) for x in step for b in tab]
-            move.append((t * bits, tab))
-        tables.append(move)
-    width, mask = d * bits, (1 << per * bits) - 1
-    full = (1 << width) - 1
-
-    def to_key(img) -> int:
-        if f.p == 2:
-            img = [unpack(r, d, bits) for r in img]
-        return pack(sum(echelonize(f, img, d)[0], ()), bits)
-
-    def images(key: int) -> list[int]:
-        rows = []
-        while key:
-            rows.append(key & full)
-            key >>= width
-        out = []
-        for move in tables:
-            img = []
-            for a in rows:
-                r = zero
-                for s, tab in move:
-                    r = plus(r, tab[a >> s & mask])
-                img.append(r)
-            out.append(to_key(img))
-        return out
-
-    return images
-
-
 def _reference_congruence_classes(amb, codim, cap):
     """The reference for V._congruence_classes: keys packed from the tuple
-    rows of dual_rref_rows, united with their _image_keys."""
+    rows of dual_rref_rows, united with their _reference_image_keys."""
     total = sum(count_subspaces(amb, c) for c in range(codim + 1))
     if total > cap:
         raise EnumerationCapExceeded(f"{total} subspaces exceeds cap {cap}")
@@ -334,7 +272,7 @@ def _reference_congruence_classes(amb, codim, cap):
             parent[i] = i = parent[parent[i]]
         return i
 
-    images = _image_keys(amb)
+    images = _reference_image_keys(amb)
     for i, key in enumerate(keys):
         a = find(i)
         for image in images(key):
@@ -369,10 +307,14 @@ KEYED_IDS = PARTITION_IDS + [
 
 @pytest.mark.parametrize("amb, codim", KEYED, ids=KEYED_IDS)
 def test_image_keys_match_the_reference(amb, codim):
-    keys = _case_keys(amb.field, amb.dim, codim)
-    new, ref = _image_keys(amb), _reference_image_keys(amb)
-    for key in keys:
-        assert new(key) == ref(key), key
+    f, d = amb.field, amb.dim
+    bits = (f.q - 1).bit_length()
+    ref = _reference_image_keys(amb)
+    for c in range(1, codim + 1):
+        images = action.move_images(amb, c)
+        for rows in dual_rref_rows(f, d, c):
+            key = pack(sum(rows, ()), bits)
+            assert images(key) == ref(key), (c, key)
 
 
 @pytest.mark.parametrize("amb, codim", KEYED, ids=KEYED_IDS)
@@ -386,11 +328,12 @@ def test_keys_and_classes_match_the_reference(amb, codim):
 def test_unit_key_is_the_echelon_form_of_the_row(field):
     bits = (field.q - 1).bit_length()
     for d in range(1, 5):
-        scale = V._scale_tables(field, d)
+        key = action._unit_key(field, d)
         for v in product(range(field.q), repeat=d):
             if any(v):
                 row = pack(v, bits) if field.p == 2 else v
-                assert V._unit_key(field, row, scale) == pack(echelonize(field, [v], d)[0][0], bits), v
+                want = pack(echelonize(field, [v], d)[0][0], bits)
+                assert key(row) == want, v
 
 
 def test_gf2_two_row_key_is_the_accumulator_echelon_form():
@@ -400,7 +343,7 @@ def test_gf2_two_row_key_is_the_accumulator_echelon_form():
             acc = Gf2Accumulator(6)
             acc.add(x)
             acc.add(y)
-            assert V._gf2_key(x | y << 6, 2, 6) == pack(acc.rows_pivots()[0], 6), (x, y)
+            assert action._gf2_key(2, 6)(x | y << 6) == pack(acc.rows_pivots()[0], 6), (x, y)
 
 
 def _general_linear(f, k):
