@@ -5,8 +5,9 @@ decides the claimed property on every case with the exact solvers from
 `rcmaps`, and returns a VerificationReport.  For a fixed suite spec the
 JSON form of the report is byte-for-byte reproducible, independent of the
 worker count: case lists are materialised in a canonical order before any
-work is dispatched, and `_map_cases` returns results in that order whether
-it runs the cases in process or through `Pool.map`.
+work is dispatched, and `_map_cases` returns results in that order, and
+raises the error of the first failing case, whether it runs the cases in
+process or in forked workers.
 """
 
 from __future__ import annotations
@@ -17,11 +18,10 @@ import time
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import combinations, product
-from multiprocessing import get_context
 
 from . import __version__
 from .action import move_images
-from .errors import BadParams, EnumerationCapExceeded, IllDefined
+from .errors import BadParams, EnumerationCapExceeded, IllDefined, RCKitError
 from .field import FieldSpec, parse_field_label
 from .linalg import (
     Matrix,
@@ -162,25 +162,78 @@ def _finish(spec: SuiteSpec, per_case, t0: float) -> VerificationReport:
 
 def _pool_size(jobs: int, ncases: int) -> int:
     """Worker processes for `ncases` cases at `--jobs jobs`: never more than
-    the CPUs, and only as many as get at least 64 cases each, below which a
-    fork and its pickled results cost more than the cases.  At most 1 means
-    run the cases in this process."""
+    the CPUs, and only as many as get at least 64 cases each, below which
+    forking a worker and unpickling its results cost more than the cases.
+    At most 1 means run the cases in this process."""
     if jobs < 1:
         raise BadParams(f"--jobs must be at least 1, got {jobs}")
     return min(jobs, os.cpu_count() or 1, ncases // 64)
 
 
 def _map_cases(worker, cases, jobs: int = 1):
-    """worker on every case, in case order: in a pool of forked workers when
-    _pool_size gives more than one, the cases in about eight chunks per
-    worker, which keeps the per-task cost small beside the work; otherwise
-    in this process, one case after another."""
+    """worker on every case, in case order, raising the error of the first
+    failing case: in this process, one case after another, unless _pool_size
+    gives more than one worker.  Then the cases go in chunks of about an
+    eighth of a worker's share, numbered in case order, and forked workers
+    pull chunk numbers from one task pipe, so a faster CPU takes more chunks.
+    Each worker runs every chunk it takes, stops at its first error and sends
+    one pickle back through a pipe of its own.  Chunks are taken in order, so
+    the lowest failing chunk that any worker reports holds the first failing
+    case.  A worker that is killed, or whose report does not unpickle, ends
+    in RCKitError once every worker has been reaped."""
     cases = list(cases)
     workers = _pool_size(jobs, len(cases))
-    if workers > 1:
-        with get_context("fork").Pool(processes=workers) as pool:
-            return pool.map(worker, cases, chunksize=len(cases) // (workers * 8))
-    return [worker(c) for c in cases]
+    if workers < 2:
+        return [worker(c) for c in cases]
+    import pickle
+
+    size = len(cases) // (workers * 8)
+    chunks = [cases[i : i + size] for i in range(0, len(cases), size)]
+    tasks, feed = os.pipe()
+    # about 9 numbers per worker: they fit the pipe's buffer before any fork
+    with open(feed, "wb") as f:
+        f.write(b"".join(i.to_bytes(4, "little") for i in range(len(chunks))))
+    readers, pids = [], []
+    try:
+        for _ in range(workers):
+            r, w = os.pipe()
+            readers.append(open(r, "rb"))
+            with open(w, "wb") as out:
+                pid = os.fork()
+                if pid == 0:
+                    try:
+                        readers[-1].close()  # so a write gets EPIPE once the parent closes
+                        done, failed = {}, None
+                        while failed is None and (raw := os.read(tasks, 4)):
+                            i = int.from_bytes(raw, "little")
+                            try:
+                                done[i] = [worker(c) for c in chunks[i]]
+                            except Exception as exc:
+                                failed = (i, exc)
+                        try:
+                            data = pickle.dumps((done, failed))
+                        except Exception:  # an error that does not pickle
+                            data = pickle.dumps((done, (failed[0], RCKitError(repr(failed[1])))))
+                        out.write(data)
+                        out.flush()
+                    finally:
+                        os._exit(0)
+            pids.append(pid)
+        sent = [f.read() for f in readers]
+    finally:
+        os.close(tasks)
+        for f in readers:  # a worker still writing gets a broken pipe
+            f.close()
+        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
+    try:
+        reports = [pickle.loads(data) for data in sent]
+    except Exception:  # a worker killed, or a report that does not unpickle
+        raise RCKitError(f"a worker process sent no results (exit codes {codes})") from None
+    done = {i: results for by_chunk, _ in reports for i, results in by_chunk.items()}
+    failed = [error for _, error in reports if error]
+    if failed:
+        raise min(failed, key=lambda e: e[0])[1]
+    return [result for i in range(len(chunks)) for result in done[i]]
 
 
 # ---------------------------------------------------------------------------

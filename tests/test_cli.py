@@ -111,6 +111,21 @@ def test_lemma_trials_respect_the_cap(suite, capsys):
     assert "cap" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("suite", ["quotient-lemma", "splitting-lemma"])
+def test_cap_breach_prints_the_same_error_at_any_jobs(suite, monkeypatch, capsys, forks):
+    # 200 trials fork two workers at --jobs 2, whose chunks fail at
+    # different times; the error printed is that of the first failing trial
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
+    runs = []
+    for jobs in ("1", "2"):
+        code = main(["verify", "--suite", suite, "--trials", "200", "--cap", "1",
+                     "--jobs", jobs])
+        runs.append((code, capsys.readouterr().err))
+    assert len(forks) == 2
+    assert runs[0][0] == 2 and "exceeds cap 1" in runs[0][1]
+    assert runs[1] == runs[0]
+
+
 def test_verify_falsified_exit_1(monkeypatch, capsys):
     fake = VerificationReport(
         SuiteSpec("sym-main", field="2"),

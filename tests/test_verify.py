@@ -7,15 +7,17 @@ import hashlib
 import json
 import os
 import random
+import signal
 import subprocess
 import sys
+import time
 from functools import partial, reduce
 from itertools import product
 from operator import and_
 
 import pytest
 
-from rckit.errors import BadParams
+from rckit.errors import BadParams, RCKitError
 from rckit.field import make_field
 from rckit.linalg import (
     Matrix,
@@ -489,22 +491,14 @@ def test_determinism_across_worker_counts():
     assert strip_time(g1) == strip_time(g2)
 
 
-def test_determinism_through_the_pool(monkeypatch):
+def test_determinism_through_the_pool(monkeypatch, forks):
     # the comparisons above hand _map_cases too few cases to fork; 200
-    # trials at jobs=2 give two workers 100 cases each
+    # trials at jobs=2 fork two workers
     monkeypatch.setattr(V.os, "cpu_count", lambda: 2)
-    forks = []
-    real_get_context = V.get_context
-
-    def spy(method):
-        forks.append(method)
-        return real_get_context(method)
-
-    monkeypatch.setattr(V, "get_context", spy)
     serial = V.run_splitting_property(trials=200, seed=9, jobs=1)
     assert forks == []
     parallel = V.run_splitting_property(trials=200, seed=9, jobs=2)
-    assert forks == ["fork"]
+    assert len(forks) == 2
     assert serial.cases_run == 200
     assert strip_time(serial) == strip_time(parallel)
 
@@ -531,16 +525,75 @@ def _case_and_pid(case):
 def test_map_cases_forks_only_for_64_cases_per_worker(monkeypatch):
     monkeypatch.setattr(V.os, "cpu_count", lambda: 2)
 
-    def no_fork(method):
+    def no_fork():
         raise AssertionError("forked for fewer than 64 cases per worker")
 
     with monkeypatch.context() as m:
-        m.setattr(V, "get_context", no_fork)
+        m.setattr(V.os, "fork", no_fork)
         out = V._map_cases(_case_and_pid, range(127), jobs=2)
     assert out == [(c, os.getpid()) for c in range(127)]
     out = V._map_cases(_case_and_pid, range(130), jobs=2)
     assert [c for c, _ in out] == list(range(130))
     assert os.getpid() not in {pid for _, pid in out}
+
+
+def _slow_and_fast_failures(case):
+    # case 5 is the first to fail, but it fails last
+    if case == 5:
+        time.sleep(0.3)
+        raise BadParams("case 5")
+    if case == 150:
+        raise BadParams("case 150")
+    return case
+
+
+def test_map_cases_raises_the_first_failing_case(monkeypatch):
+    # the error --jobs 1 raises, whichever worker fails first
+    monkeypatch.setattr(V.os, "cpu_count", lambda: 2)
+    for jobs in (1, 2):
+        with pytest.raises(BadParams, match="^case 5$"):
+            V._map_cases(_slow_and_fast_failures, range(200), jobs=jobs)
+
+
+def test_map_cases_reports_an_error_that_does_not_pickle(monkeypatch):
+    # a local class does not pickle: the worker sends its repr instead
+    monkeypatch.setattr(V.os, "cpu_count", lambda: 2)
+
+    class Local(Exception):
+        pass
+
+    def worker(case):
+        if case == 10:
+            raise Local("case 10")
+        return case
+
+    with pytest.raises(RCKitError, match=r"Local\('case 10'\)"):
+        V._map_cases(worker, range(200), jobs=2)
+
+
+def _alarm(signum, frame):
+    raise TimeoutError("_map_cases hung")
+
+
+def _killed_on_case_100(parent, case):
+    if case == 100 and os.getpid() != parent:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return case
+
+
+def test_map_cases_raises_when_a_worker_is_killed(monkeypatch):
+    monkeypatch.setattr(V.os, "cpu_count", lambda: 2)
+    worker = partial(_killed_on_case_100, os.getpid())
+    previous = signal.signal(signal.SIGALRM, _alarm)
+    signal.alarm(10)
+    try:
+        with pytest.raises(RCKitError, match="sent no results"):
+            V._map_cases(worker, range(200), jobs=2)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    with pytest.raises(ChildProcessError):  # every worker was reaped
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.parametrize("jobs", [0, -3])
